@@ -63,6 +63,18 @@ if grep -n "HashMap" crates/mpicore/src/progress.rs crates/ibsim/src/fabric.rs \
   exit 1
 fi
 
+echo "==> lint: Segment stays a test oracle"
+# Production code runs one datatype representation, the cached
+# TransferPlan; ibdt_datatype::Segment survives only as the oracle the
+# plan-equivalence tests compare plans against (DESIGN.md §3). Comment
+# lines are exempt, so prose may still say "segment".
+if grep -rnw "Segment" crates/mpicore/src crates/ibsim/src crates/workloads/src \
+    | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+  echo "error: Segment named in production code; use the rank's cached" \
+       "TransferPlan (RankState::plan_for) instead." >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -71,6 +83,22 @@ cargo test --workspace -q
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> figures byte-identical to results/"
+# The committed figures are the reproduced result; a change that moves
+# any of them must regenerate results/ and say why.
+rm -rf target/figcheck
+mkdir -p target/figcheck
+./target/release/figures all --csv target/figcheck > target/figcheck/figures.txt 2> /dev/null
+n=0
+for f in target/figcheck/*; do
+  cmp "$f" "results/$(basename "$f")"
+  n=$((n + 1))
+done
+if [[ "$n" != 22 ]]; then
+  echo "error: expected 21 figure CSVs plus figures.txt, got $n files" >&2
+  exit 1
+fi
 
 echo "==> bench smoke (hotpath -> BENCH_hotpath.json)"
 ./target/release/hotpath > /dev/null

@@ -46,7 +46,9 @@ impl Report {
     /// regression gate, so a noise spike must not look like a
     /// regression. Allocations are counted over the same passes and
     /// reported per op, also as the minimum — pool warm-up in an early
-    /// pass must not mask a steady state that allocates nothing.
+    /// pass must not mask a steady state that allocates nothing. The
+    /// count is process-wide, so the sharded scale entries include
+    /// their worker threads.
     fn bench(&mut self, name: &str, bytes: Option<u64>, mut f: impl FnMut()) -> f64 {
         for _ in 0..3 {
             f();
@@ -66,13 +68,13 @@ impl Report {
         let mut per = per_pass;
         let mut allocs = f64::INFINITY;
         for _ in 0..4 {
-            let a0 = CountingAlloc::allocations();
+            let a0 = CountingAlloc::process_allocations();
             let t0 = Instant::now();
             for _ in 0..iters {
                 f();
             }
             per = per.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-            let da = CountingAlloc::allocations() - a0;
+            let da = CountingAlloc::process_allocations() - a0;
             allocs = allocs.min(da as f64 / iters as f64);
         }
         let bps = bytes.map_or(0.0, |b| b as f64 / per * 1e9);

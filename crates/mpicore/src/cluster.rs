@@ -990,61 +990,40 @@ impl Cluster {
         ty: &Datatype,
         op: ReduceOp,
     ) {
-        use ibdt_datatype::Segment;
         let r = rank as usize;
         let prim = ty
             .uniform_primitive()
             .expect("reductions require a uniform-primitive datatype");
-        let seg = Segment::new(ty, count);
-        let n = seg.total_bytes();
-        let space = &self.mems[r].space;
-        let cap = space.capacity();
-        let mem = space.slice(0, cap).expect("whole space view");
-        let mut a = vec![0u8; n as usize];
-        let mut b = vec![0u8; n as usize];
-        seg.pack(0, n, mem, dst as usize, &mut a)
-            .expect("dst covers the datatype");
-        seg.pack(0, n, mem, src as usize, &mut b)
-            .expect("src covers the datatype");
         let w = prim.size() as usize;
-        let mut failed = None;
-        for (da, db) in a.chunks_exact_mut(w).zip(b.chunks_exact(w)) {
-            if let Err(e) = combine_element(da, db, op, prim) {
-                failed = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = failed {
-            // A malformed operand or an unimplemented (operator,
-            // primitive) combination fails the reduction typed instead
-            // of tearing the simulation down; the accumulator is left
-            // untouched.
-            self.ranks[r].errors.push(e);
+        let rs = &mut self.ranks[r];
+        // An unimplemented (operator, primitive) combination fails the
+        // reduction typed instead of tearing the simulation down; the
+        // accumulator is left untouched.
+        if let Err(e) = combine_element(&mut [0; 8][..w], &[0; 8][..w], op, prim) {
+            rs.errors.push(e);
             return;
         }
-        // Narrow the mutable view to the blocks' envelope so dirty
-        // tracking (backing-store recycling) stays proportional to the
-        // destination buffer, not the whole space.
-        let (env_lo, env_hi) = seg
-            .blocks()
-            .iter()
-            .fold((0i128, 0i128), |(lo, hi), &(o, l)| {
-                (lo.min(o as i128), hi.max(o as i128 + l as i128))
-            });
+        // Walk both operands' blocks through the rank's cached plan and
+        // fold them element by element, in place: blocks hold whole
+        // elements, so no staging copy is needed.
+        let plan = rs.plan_for(ty, count);
+        let n = plan.total_bytes();
         let space = &mut self.mems[r].space;
-        let vstart = ((dst as i128 + env_lo).clamp(0, cap as i128) as u64).min(dst.min(cap));
-        let vend = (dst as i128 + env_hi).clamp(vstart as i128, cap as i128) as u64;
-        let mem = space
-            .slice_mut(vstart, vend - vstart)
-            .expect("envelope view in range");
-        seg.unpack(0, n, &a, mem, (dst - vstart) as usize)
-            .expect("dst covers the datatype");
+        plan.for_each_block(0, n, |off, len| {
+            for at in (0..len).step_by(w) {
+                let mut elem = [0; 8];
+                let s = space.slice((src as i64 + off) as u64 + at, w as u64);
+                elem[..w].copy_from_slice(s.expect("src covers the datatype"));
+                let d = space.slice_mut((dst as i64 + off) as u64 + at, w as u64);
+                let acc = d.expect("dst covers the datatype");
+                combine_element(acc, &elem[..w], op, prim).expect("combination checked above");
+            }
+        })
+        .expect("range valid");
         // Cost: read both operands, write one, ~1 ns/element ALU.
         let cost =
             ibdt_simcore::time::transfer_ns(3 * n, self.spec.host.copy_bw_bps) + n / prim.size();
-        self.ranks[r]
-            .cpu
-            .reserve_labeled(sched.now(), cost, "reduce");
+        rs.cpu.reserve_labeled(sched.now(), cost, "reduce");
     }
 
     /// Fence epilogue: release origin registrations and barrier.

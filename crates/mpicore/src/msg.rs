@@ -160,7 +160,7 @@ pub enum ReplyBody {
         /// Registered regions `(addr, len, rkey)`.
         regions: Vec<(u64, u64, u32)>,
         /// Unpack segment buffers `(addr, rkey)` for the packed part.
-        segs: Vec<(u64, u32)>,
+        segs: SegList,
         /// Block-size threshold the receiver used to partition.
         threshold: u64,
     },
@@ -197,7 +197,41 @@ impl W<'_> {
         self.u64(b.len() as u64);
         self.0.extend_from_slice(b);
     }
+    fn segs(&mut self, segs: &SegList) {
+        self.u32(segs.len() as u32);
+        for &(a, k) in segs {
+            self.u64(a);
+            self.u32(k);
+        }
+    }
+    /// The receiver-layout part Multi-W and Hybrid replies share.
+    fn layout_part(
+        &mut self,
+        base: u64,
+        tag: &TypeTag,
+        count: u64,
+        layout: &Option<FlatLayout>,
+        regions: &[(u64, u64, u32)],
+    ) {
+        self.u64(base);
+        self.u32(tag.index);
+        self.u32(tag.version);
+        self.u64(count);
+        match layout {
+            Some(l) => self.bytes(&l.encode()),
+            None => self.u64(u64::MAX),
+        }
+        self.u32(regions.len() as u32);
+        for &(a, l, k) in regions {
+            self.u64(a);
+            self.u64(l);
+            self.u32(k);
+        }
+    }
 }
+
+/// Decoded [`W::layout_part`]: base, tag, count, layout, regions.
+type LayoutPart = (u64, TypeTag, u64, Option<FlatLayout>, Vec<(u64, u64, u32)>);
 
 struct R<'a>(&'a [u8], usize);
 impl<'a> R<'a> {
@@ -221,6 +255,35 @@ impl<'a> R<'a> {
         let s = self.0.get(self.1..self.1 + n)?;
         self.1 += n;
         Some(s)
+    }
+    fn segs(&mut self) -> Option<SegList> {
+        let n = self.u32()? as usize;
+        let mut segs = SegList::new();
+        for _ in 0..n {
+            segs.push((self.u64()?, self.u32()?));
+        }
+        Some(segs)
+    }
+    fn layout_part(&mut self) -> Option<LayoutPart> {
+        let base = self.u64()?;
+        let tag = TypeTag {
+            index: self.u32()?,
+            version: self.u32()?,
+        };
+        let count = self.u64()?;
+        // Peek the length: u64::MAX means "no layout".
+        let layout = if R(self.0, self.1).u64()? == u64::MAX {
+            self.u64()?;
+            None
+        } else {
+            Some(FlatLayout::decode(self.bytes()?)?)
+        };
+        let n = self.u32()? as usize;
+        let mut regions = Vec::with_capacity(n);
+        for _ in 0..n {
+            regions.push((self.u64()?, self.u64()?, self.u32()?));
+        }
+        Some((base, tag, count, layout, regions))
     }
 }
 
@@ -277,11 +340,7 @@ impl CtrlMsg {
                     }
                     ReplyBody::Segments { segs } => {
                         w.u8(B_SEGMENTS);
-                        w.u32(segs.len() as u32);
-                        for (a, k) in segs {
-                            w.u64(*a);
-                            w.u32(*k);
-                        }
+                        w.segs(segs);
                     }
                     ReplyBody::MultiW {
                         base,
@@ -291,20 +350,7 @@ impl CtrlMsg {
                         regions,
                     } => {
                         w.u8(B_MULTIW);
-                        w.u64(*base);
-                        w.u32(tag.index);
-                        w.u32(tag.version);
-                        w.u64(*count);
-                        match layout {
-                            Some(l) => w.bytes(&l.encode()),
-                            None => w.u64(u64::MAX),
-                        }
-                        w.u32(regions.len() as u32);
-                        for (a, l, k) in regions {
-                            w.u64(*a);
-                            w.u64(*l);
-                            w.u32(*k);
-                        }
+                        w.layout_part(*base, tag, *count, layout, regions);
                     }
                     ReplyBody::ReadGo => w.u8(B_READGO),
                     ReplyBody::Hybrid {
@@ -317,25 +363,8 @@ impl CtrlMsg {
                         threshold,
                     } => {
                         w.u8(B_HYBRID);
-                        w.u64(*base);
-                        w.u32(tag.index);
-                        w.u32(tag.version);
-                        w.u64(*count);
-                        match layout {
-                            Some(l) => w.bytes(&l.encode()),
-                            None => w.u64(u64::MAX),
-                        }
-                        w.u32(regions.len() as u32);
-                        for (a, l, k) in regions {
-                            w.u64(*a);
-                            w.u64(*l);
-                            w.u32(*k);
-                        }
-                        w.u32(segs.len() as u32);
-                        for (a, k) in segs {
-                            w.u64(*a);
-                            w.u32(*k);
-                        }
+                        w.layout_part(*base, tag, *count, layout, regions);
+                        w.segs(segs);
                         w.u64(*threshold);
                     }
                 }
@@ -407,34 +436,9 @@ impl CtrlMsg {
                         addr: r.u64()?,
                         rkey: r.u32()?,
                     },
-                    B_SEGMENTS => {
-                        let n = r.u32()? as usize;
-                        let mut segs = SegList::new();
-                        for _ in 0..n {
-                            segs.push((r.u64()?, r.u32()?));
-                        }
-                        ReplyBody::Segments { segs }
-                    }
+                    B_SEGMENTS => ReplyBody::Segments { segs: r.segs()? },
                     B_MULTIW => {
-                        let base = r.u64()?;
-                        let tag = TypeTag {
-                            index: r.u32()?,
-                            version: r.u32()?,
-                        };
-                        let count = r.u64()?;
-                        // Peek the length: u64::MAX means "no layout".
-                        let mark = R(r.0, r.1).u64()?;
-                        let layout = if mark == u64::MAX {
-                            r.u64()?;
-                            None
-                        } else {
-                            Some(FlatLayout::decode(r.bytes()?)?)
-                        };
-                        let n = r.u32()? as usize;
-                        let mut regions = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            regions.push((r.u64()?, r.u64()?, r.u32()?));
-                        }
+                        let (base, tag, count, layout, regions) = r.layout_part()?;
                         ReplyBody::MultiW {
                             base,
                             tag,
@@ -445,38 +449,15 @@ impl CtrlMsg {
                     }
                     B_READGO => ReplyBody::ReadGo,
                     B_HYBRID => {
-                        let base = r.u64()?;
-                        let tag = TypeTag {
-                            index: r.u32()?,
-                            version: r.u32()?,
-                        };
-                        let count = r.u64()?;
-                        let mark = R(r.0, r.1).u64()?;
-                        let layout = if mark == u64::MAX {
-                            r.u64()?;
-                            None
-                        } else {
-                            Some(FlatLayout::decode(r.bytes()?)?)
-                        };
-                        let n = r.u32()? as usize;
-                        let mut regions = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            regions.push((r.u64()?, r.u64()?, r.u32()?));
-                        }
-                        let m = r.u32()? as usize;
-                        let mut segs = Vec::with_capacity(m);
-                        for _ in 0..m {
-                            segs.push((r.u64()?, r.u32()?));
-                        }
-                        let threshold = r.u64()?;
+                        let (base, tag, count, layout, regions) = r.layout_part()?;
                         ReplyBody::Hybrid {
                             base,
                             tag,
                             count,
                             layout,
                             regions,
-                            segs,
-                            threshold,
+                            segs: r.segs()?,
+                            threshold: r.u64()?,
                         }
                     }
                     _ => return None,
@@ -659,7 +640,7 @@ mod tests {
                 count: 2,
                 layout: Some(t.flat().as_ref().clone()),
                 regions: vec![(0x9000, 8192, 5)],
-                segs: vec![(0x20000, 9), (0x40000, 9)],
+                segs: vec![(0x20000, 9), (0x40000, 9)].into(),
                 threshold: 1024,
             },
         });
@@ -675,7 +656,7 @@ mod tests {
                 count: 2,
                 layout: None,
                 regions: vec![],
-                segs: vec![],
+                segs: SegList::new(),
                 threshold: 512,
             },
         });

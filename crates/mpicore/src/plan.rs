@@ -135,20 +135,26 @@ pub fn hybrid_partition(rcv_block_lens: &[u64], threshold: u64) -> HybridPart {
     }
 }
 
-/// Maps a range `[lo, hi)` of the *substream* (the concatenation of
-/// `intervals` in order) back to stream intervals.
-pub fn substream_to_stream(intervals: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {
+/// Walks a range `[lo, hi)` of the *substream* (the concatenation of
+/// `intervals` in order) in place, calling `f(a, b)` for each stream
+/// interval it maps back to, in order. Allocation-free, so the packed
+/// paths can run it once per segment.
+pub fn for_each_substream_piece(
+    intervals: impl IntoIterator<Item = (u64, u64)>,
+    lo: u64,
+    hi: u64,
+    mut f: impl FnMut(u64, u64),
+) {
     debug_assert!(lo <= hi);
-    let mut out = Vec::new();
     let mut pos = 0u64; // substream position at the start of interval
-    for &(a, b) in intervals {
+    for (a, b) in intervals {
         let len = b - a;
         let end = pos + len;
         if end > lo && pos < hi {
             let clip_lo = lo.saturating_sub(pos);
             let clip_hi = (hi - pos).min(len);
             if clip_hi > clip_lo {
-                out.push((a + clip_lo, a + clip_hi));
+                f(a + clip_lo, a + clip_hi);
             }
         }
         pos = end;
@@ -156,7 +162,6 @@ pub fn substream_to_stream(intervals: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u
             break;
         }
     }
-    out
 }
 
 /// Immediate-data encoding for rendezvous segments: 16 bits of sequence
@@ -508,6 +513,12 @@ mod tests {
     fn hybrid_partition_empty() {
         let p = hybrid_partition(&[], 1024);
         assert!(p.direct.is_empty() && p.packed.is_empty());
+    }
+
+    fn substream_to_stream(ivs: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for_each_substream_piece(ivs.iter().copied(), lo, hi, |a, b| out.push((a, b)));
+        out
     }
 
     #[test]

@@ -17,21 +17,20 @@
 
 use crate::config::{MpiConfig, Scheme};
 use crate::error::MpiError;
-use crate::msg::{CtrlMsg, ReplyBody};
-use crate::plan::{
-    chunk_gather, hybrid_partition, imm_of, imm_parse, plan_multi_w, substream_to_stream,
-};
+use crate::msg::{CtrlMsg, ReplyBody, SegList};
+use crate::plan::{for_each_substream_piece, hybrid_partition, imm_of, imm_parse, plan_multi_w};
 use crate::rank::{PostedRecv, RankState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
 use ibdt_datatype::{Datatype, FlatLayout, TransferPlan};
 use ibdt_ibsim::{
-    Cqe, HostConfig, NetConfig, NicEvent, NodeMem, Opcode, PostError, RecvWr, SendWr, Sge,
-    SgeList, Transport, TransportClass,
+    Cqe, HostConfig, NetConfig, NicEvent, NodeMem, Opcode, PostError, RecvWr, SendWr, Sge, SgeList,
+    Transport, TransportClass,
 };
 use ibdt_memreg::{ogr, Registration, Va};
 use ibdt_simcore::engine::Scheduler;
 use ibdt_simcore::pipeline::{two_stage_finish_ns, MAX_PIPELINE_BUFS};
 use ibdt_simcore::time::Time;
+use ibdt_simcore::InlineVec;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -84,8 +83,8 @@ pub enum CpuAct {
         /// Segment index.
         k: u32,
     },
-    /// Receiver unpacked the whole message (Generic / no-segment-unpack
-    /// RWG mode).
+    /// Receiver unpacked the whole message at once (the Fig. 12
+    /// no-segment-unpack RWG-UP ablation).
     UnpackAll {
         /// Source rank.
         peer: u32,
@@ -229,35 +228,38 @@ enum SendTargets {
     /// Generic: one unpack buffer.
     Buffer { addr: Va, rkey: u32 },
     /// BC-SPUP / RWG-UP: per-segment unpack buffers.
-    Segments(crate::msg::SegList),
+    Segments(SegList),
     /// Multi-W: receiver block list and covering regions.
     MultiW {
         rcv_blocks: Vec<(Va, u64)>,
-        regions: Vec<(Va, u64, u32)>,
+        regions: Vec<Region>,
     },
     /// P-RRS: receiver will read; sender announces packed segments.
     ReadGo,
-    /// Hybrid: details live in [`SendMsg::hybrid`].
-    HybridReady,
+    /// Hybrid (§10 future work): BC-SPUP segment buffers for the packed
+    /// intervals, plus the direct part — `(stream lo, stream hi,
+    /// destination va)` per large receiver block, inside `regions`.
+    Hybrid {
+        segs: SegList,
+        direct: Vec<(u64, u64, Va)>,
+        regions: Vec<Region>,
+    },
 }
+
+/// A receiver region registered for direct writes: `(addr, len, rkey)`.
+type Region = (Va, u64, u32);
 
 pub(crate) use crate::pool::StageBuf;
 
-/// Sender-side Hybrid state (§10 future work): the partition of the
-/// stream into direct-write and packed parts, derived from the
-/// receiver's layout.
-#[derive(Debug)]
-struct HybridSend {
-    /// Stream intervals travelling packed, in order.
-    packed_intervals: Vec<(u64, u64)>,
-    /// `(stream lo, stream hi, destination va)` per direct interval.
-    direct: Vec<(u64, u64, Va)>,
-    /// Receiver unpack segment buffers for the packed part.
-    segs: Vec<(u64, u32)>,
-    /// Receiver regions covering the direct destinations.
-    regions: Vec<(Va, u64, u32)>,
-    direct_posted: bool,
-    marker_posted: bool,
+/// Stream intervals `[lo, hi)` that travel packed, in stream order:
+/// `[0, size)` for every segmented scheme except Hybrid, whose packed
+/// part is the small-block intervals of its threshold partition. The
+/// single interval lives inline, so the common case allocates nothing.
+type Intervals = InlineVec<(u64, u64), 1>;
+
+/// Total bytes of `ivs` (the packed substream's length).
+fn ivs_bytes(ivs: &[(u64, u64)]) -> u64 {
+    ivs.iter().map(|&(a, b)| b - a).sum()
 }
 
 /// Sender-side state of one rendezvous message.
@@ -276,14 +278,18 @@ struct SendMsg {
     scheme: Scheme,
     nsegs: u32,
     seg_size: u64,
+    /// Stream intervals the segments carry (see [`Intervals`]).
+    packed_ivs: Intervals,
     pack_bufs: Vec<StageBuf>,
     packed: u32,
     posted_segs: u32,
     pack_chain_running: bool,
     /// Single-block sender (contiguous data): zero-copy paths apply.
     contig: bool,
-    hybrid: Option<HybridSend>,
     targets: Option<SendTargets>,
+    /// Hybrid: the direct writes and the completion marker went out.
+    direct_posted: bool,
+    marker_posted: bool,
     reg_done: bool,
     user_regs: Vec<Registration>,
     /// P-RRS: completion arrives via Fin instead of a local data CQE.
@@ -293,9 +299,10 @@ struct SendMsg {
     failed: Option<MpiError>,
     /// Rendezvous-reply probes sent so far (§reply timeout).
     rerequests: u32,
-    /// Multi-W degraded mode: the pinning budget barred registering the
-    /// user buffer, so data is staged through a copy buffer and written
-    /// into the receiver's blocks from there.
+    /// Multi-W / Hybrid degraded mode: the pinning budget barred
+    /// registering the user buffer, so the directly written data is
+    /// staged through a copy buffer and written into the receiver's
+    /// blocks from there.
     mw_stage: bool,
     /// User-buffer bytes this message charged against
     /// `reg_budget_bytes`.
@@ -322,6 +329,8 @@ struct RecvMsg {
     scheme: Scheme,
     nsegs: u32,
     seg_size: u64,
+    /// Stream intervals the segments carry (see [`Intervals`]).
+    packed_ivs: Intervals,
     unpack_bufs: Vec<StageBuf>,
     segs_arrived: u32,
     segs_unpacked: u32,
@@ -330,9 +339,7 @@ struct RecvMsg {
     /// P-RRS: outstanding RDMA reads and announced segments.
     reads_outstanding: u32,
     segs_announced: u32,
-    /// Hybrid: stream intervals of the packed part, and whether the
-    /// completion marker arrived.
-    packed_intervals: Vec<(u64, u64)>,
+    /// Hybrid: the completion marker arrived.
     marker_seen: bool,
     completed: bool,
     /// User-buffer bytes this message charged against
@@ -474,13 +481,15 @@ pub fn isend(
         scheme,
         nsegs,
         seg_size,
+        packed_ivs: Intervals::of((0, size)),
         pack_bufs: rs.scratch.take_stage(),
         packed: 0,
         posted_segs: 0,
         pack_chain_running: false,
         contig: stats.min >= size,
-        hybrid: None,
         targets: None,
+        direct_posted: false,
+        marker_posted: false,
         reg_done: false,
         user_regs: Vec::new(),
         completed: false,
@@ -509,15 +518,10 @@ pub fn isend(
         return req;
     }
     match scheme {
-        Scheme::Generic => {
-            // Dynamic whole-message pack buffer (the original path).
-            let sb = acquire_stage(rs, ctx, size);
-            msg.pack_bufs.push(sb);
-            start_pack_chain(rs, ctx, &mut msg);
-        }
+        // Dynamic whole-message pack buffer (the original path).
+        Scheme::Generic => stage_whole(rs, ctx, &mut msg),
         Scheme::BcSpup | Scheme::PRrs => {
-            assign_pack_bufs(rs, ctx, &mut msg);
-            start_pack_chain(rs, ctx, &mut msg);
+            start_packing(rs, ctx, &mut msg);
         }
         Scheme::RwgUp | Scheme::MultiW => {
             let _ = sender_register(rs, ctx, &mut msg);
@@ -526,25 +530,13 @@ pub fn isend(
             // Predict the direct part from the sender's own layout
             // (symmetric types are the common case) and register those
             // blocks during the handshake; the reply-time registration
-            // tops up any coverage the receiver's partition adds.
+            // tops up any coverage the receiver's partition adds. A
+            // budget refusal is settled by that top-up.
             let mut own = rs.scratch.take_blocks();
             abs_blocks_into(&tplan, buf, &mut own);
             own.retain(|&(_, l)| l >= ctx.cfg.hybrid_block_threshold);
             if !own.is_empty() {
-                let plan = ogr::plan(&own, &ctx.host.reg);
-                let mut cost = 0;
-                for &(a, l) in &plan.regions {
-                    let acq = rs.pindown.acquire(
-                        &mut ctx.mems[rs.rank as usize].regs,
-                        &ctx.host.reg,
-                        a,
-                        l,
-                    );
-                    cost += acq.cost_ns;
-                    msg.user_regs.push(acq.reg);
-                }
-                let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-                ctx.cpu_event(done, rs.rank, CpuAct::SenderRegDone { peer, seq });
+                let _ = sender_pin(rs, ctx, &mut msg, &own, 0);
             }
             rs.scratch.put_blocks(own);
         }
@@ -562,19 +554,12 @@ pub fn isend(
                 stats.min,
                 stats.median,
             );
-            match predicted {
-                Scheme::RwgUp | Scheme::MultiW | Scheme::PRrs => {
-                    if !sender_register(rs, ctx, &mut msg) {
-                        // Pinning budget exhausted: pre-pack instead,
-                        // which every fallback path can consume.
-                        assign_pack_bufs(rs, ctx, &mut msg);
-                        start_pack_chain(rs, ctx, &mut msg);
-                    }
-                }
-                _ => {
-                    assign_pack_bufs(rs, ctx, &mut msg);
-                    start_pack_chain(rs, ctx, &mut msg);
-                }
+            // A zero-copy guess pins the user buffer; when the pinning
+            // budget is exhausted, pre-pack instead, which every
+            // fallback path can consume.
+            let zero_copy = matches!(predicted, Scheme::RwgUp | Scheme::MultiW | Scheme::PRrs);
+            if !zero_copy || !sender_register(rs, ctx, &mut msg) {
+                start_packing(rs, ctx, &mut msg);
             }
         }
     }
@@ -688,7 +673,7 @@ pub fn on_cqe(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, cq
             }
             WR_DATA => {
                 let seq = cqe.wr_id & WR_LOW_MASK;
-                sender_data_done(rs, am, ctx, cqe.peer, seq);
+                sender_done(rs, am, ctx, cqe.peer, seq, false);
             }
             WR_READ => {
                 let seq = cqe.wr_id & WR_LOW_MASK;
@@ -847,36 +832,20 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             msg.packed = k + 1;
             msg.pack_chain_running = false;
             rs.counters.packs += 1;
-            rs.counters.bytes_packed += if msg.scheme == Scheme::Hybrid {
-                let packed_bytes: u64 = msg
-                    .hybrid
-                    .as_ref()
-                    .map(|h| h.packed_intervals.iter().map(|&(a, b)| b - a).sum())
-                    .unwrap_or(0);
-                let lo = k as u64 * msg.seg_size;
-                ((lo + msg.seg_size).min(packed_bytes)).saturating_sub(lo)
-            } else {
-                seg_len(&msg, k)
-            };
-            try_post_ready(rs, ctx, &mut msg);
-            if let Some(err) = msg.failed.take() {
-                resolve_send_failure(rs, am, ctx, msg, err);
-                return;
+            rs.counters.bytes_packed += seg_len(&msg, k);
+            if let Some(mut msg) = post_ready(rs, am, ctx, msg) {
+                start_pack_chain(rs, ctx, &mut msg);
+                am.sends.insert((peer, seq), msg);
             }
-            start_pack_chain(rs, ctx, &mut msg);
-            am.sends.insert((peer, seq), msg);
         }
         CpuAct::SenderRegDone { peer, seq } => {
             let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
                 return;
             };
             msg.reg_done = true;
-            try_post_ready(rs, ctx, &mut msg);
-            if let Some(err) = msg.failed.take() {
-                resolve_send_failure(rs, am, ctx, msg, err);
-                return;
+            if let Some(msg) = post_ready(rs, am, ctx, msg) {
+                am.sends.insert((peer, seq), msg);
             }
-            am.sends.insert((peer, seq), msg);
         }
         CpuAct::ReceiverReady { peer, seq } => {
             let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
@@ -909,11 +878,10 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             ctx.cpu_event(at, rs.rank, CpuAct::ReplyTimeout { peer, seq });
             am.sends.insert((peer, seq), msg);
         }
-        CpuAct::UnpackSeg { peer, seq, k } => {
+        CpuAct::UnpackSeg { peer, seq, .. } => {
             let Some(msg) = am.recvs.get_mut(&(peer, seq)) else {
                 return;
             };
-            let _ = k;
             if msg.drop_unpacks > 0 {
                 // Stale completion from before a renegotiation reset
                 // the unpack pipeline.
@@ -922,8 +890,9 @@ pub fn on_cpu(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, ac
             }
             msg.segs_unpacked += 1;
             rs.counters.unpacks += 1;
-            let hybrid_gate = msg.scheme == Scheme::Hybrid && !msg.marker_seen;
-            if msg.segs_unpacked == msg.nsegs && !hybrid_gate {
+            // Hybrid completes only once its marker confirms the direct
+            // writes landed too.
+            if msg.segs_unpacked == msg.nsegs && (msg.scheme != Scheme::Hybrid || msg.marker_seen) {
                 receiver_complete(rs, am, ctx, peer, seq);
             }
         }
@@ -1186,16 +1155,7 @@ fn eager_send(
     let plan = rs.plan_for(ty, count);
     let mut payload = rs.scratch.take_bytes(size as usize);
     pack_range(ctx, rs.rank, &plan, buf, 0, size, &mut payload);
-    let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
-    let mut cost = ctx.host.copy_ns(blocks.max(1), size);
-    if ctx.cfg.scheme == Scheme::Generic {
-        // Original path (Fig. 1): pack into a temporary buffer, then
-        // copy into the eager buffer.
-        cost += ctx.host.malloc_ns + ctx.host.memcpy_ns(size) + ctx.host.free_ns;
-    }
-    // Device-resident source: one synchronous gather-DMA down to the
-    // host before the pack (eager messages are too small to stage).
-    cost += device_direct_ns(ctx, rs.rank, buf, size, false);
+    let cost = eager_copy_ns(ctx, rs.rank, &plan, buf, false);
     rs.counters.packs += 1;
     rs.counters.bytes_packed += size;
 
@@ -1209,6 +1169,27 @@ fn eager_send(
     // is then reusable).
     let done = rs.cpu.available_at();
     ctx.cpu_event(done, rs.rank, CpuAct::SendDone { req });
+}
+
+/// Host cost of packing (or, `to_device`, unpacking) a whole eager
+/// message at `buf`: the element-wise copy; Generic's original path
+/// (Fig. 1) through a temporary buffer plus a copy into or out of the
+/// eager buffer; and, for a device-resident buffer, one synchronous DMA
+/// (eager messages are too small to stage).
+fn eager_copy_ns(
+    ctx: &Ctx<'_, '_>,
+    rank: u32,
+    plan: &TransferPlan,
+    buf: Va,
+    to_device: bool,
+) -> Time {
+    let size = plan.total_bytes();
+    let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
+    let mut cost = ctx.host.copy_ns(blocks.max(1), size);
+    if ctx.cfg.scheme == Scheme::Generic {
+        cost += ctx.host.malloc_ns + ctx.host.memcpy_ns(size) + ctx.host.free_ns;
+    }
+    cost + device_direct_ns(ctx, rank, buf, size, to_device)
 }
 
 /// Unpacks an eager payload into the user buffer and schedules request
@@ -1226,13 +1207,7 @@ fn eager_deliver(
     let size = plan.total_bytes();
     assert_eq!(data.len() as u64, size, "eager size mismatch");
     unpack_from_slice(ctx, rs.rank, &plan, buf, 0, size, data);
-    let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
-    let mut cost = ctx.host.copy_ns(blocks.max(1), size);
-    if ctx.cfg.scheme == Scheme::Generic {
-        cost += ctx.host.malloc_ns + ctx.host.memcpy_ns(size) + ctx.host.free_ns;
-    }
-    // Device-resident destination: one synchronous scatter-DMA up.
-    cost += device_direct_ns(ctx, rs.rank, buf, size, true);
+    let cost = eager_copy_ns(ctx, rs.rank, &plan, buf, true);
     rs.counters.unpacks += 1;
     rs.counters.bytes_unpacked += size;
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "unpack");
@@ -1254,8 +1229,8 @@ fn self_send(
     // the scratch pool.
     let data = pack_to_vec(ctx, rs.rank, &plan, buf, 0, size);
     let (blocks, _) = plan.block_count_in(0, size).expect("range valid");
-    let cost = ctx.host.copy_ns(blocks.max(1), size)
-        + device_direct_ns(ctx, rs.rank, buf, size, false);
+    let cost =
+        ctx.host.copy_ns(blocks.max(1), size) + device_direct_ns(ctx, rs.rank, buf, size, false);
     let done = rs.cpu.reserve_labeled(ctx.now(), cost, "pack");
     ctx.cpu_event(done, rs.rank, CpuAct::SendDone { req });
 
@@ -1327,43 +1302,7 @@ fn send_ctrl(
     let cost = extra_cpu_ns + ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns;
     let ready = rs.cpu.reserve_labeled(ctx.now(), cost, label);
     match rs.eager_send_free.pop() {
-        Some(va) => {
-            ctx.mems[rs.rank as usize]
-                .space
-                .write(va, &bytes)
-                .expect("eager ring buffer writable");
-            write_slot_terminator(rs, ctx, va, bytes.len());
-            let wr = SendWr {
-                wr_id: WR_EAGER | va,
-                opcode: Opcode::Send,
-                sges: SgeList::of(Sge {
-                    addr: va,
-                    len: bytes.len() as u64,
-                    lkey: rs.eager_lkey,
-                }),
-                remote: None,
-                signaled: true,
-            };
-            if let Err(e) = ctx.post_send(ready, rs.rank, peer, wr) {
-                rs.eager_send_free.push(va);
-                // A dead QP suspends the message with the connection
-                // manager; it is re-sent after re-establishment.
-                if ctx.cfg.recovery
-                    && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-                    && ensure_reconnect(rs, ctx, peer)
-                {
-                    rs.reconn
-                        .get_mut(&peer)
-                        .expect("entry ensured above")
-                        .pending_ctrl
-                        .push(bytes);
-                    return;
-                }
-                rs.counters.post_errors += 1;
-                rs.errors.push(MpiError::Post { peer, err: e });
-            }
-            recycle_ctrl_buf(rs, bytes);
-        }
+        Some(va) => post_ctrl_slot(rs, ctx, ready, peer, va, bytes),
         None => {
             rs.eager_pending
                 .push_back(crate::rank::PendingEager { peer, bytes });
@@ -1372,66 +1311,79 @@ fn send_ctrl(
     }
 }
 
-/// Writes one zero byte — an invalid message kind — after the encoded
-/// message in a send-ring slot. Slots are reused without clearing, so a
-/// recovery re-post must re-derive the wire length by decoding; with
-/// piggybacked credit prefixes the terminator is what makes the end of
-/// a slot (in particular a standalone `CreditUpdate`) unambiguous
-/// against stale bytes from the slot's previous occupant.
-fn write_slot_terminator(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, va: Va, len: usize) {
-    if (len as u64) < ctx.cfg.eager_buf_size {
-        ctx.mems[rs.rank as usize]
-            .space
-            .write(va + len as u64, &[0])
+/// Copies the encoded `bytes` into send-ring slot `va` and posts the
+/// slot to `peer` at `ready`. A dead QP parks the message with the
+/// connection manager, which re-sends it after re-establishment.
+///
+/// One zero byte — an invalid message kind — follows the message in
+/// the slot. Slots are reused without clearing, so a recovery re-post
+/// must re-derive the wire length by decoding; with piggybacked credit
+/// prefixes the terminator is what makes the end of a slot (in
+/// particular a standalone `CreditUpdate`) unambiguous against stale
+/// bytes from the slot's previous occupant.
+fn post_ctrl_slot(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    ready: Time,
+    peer: u32,
+    va: Va,
+    bytes: Vec<u8>,
+) {
+    let space = &mut ctx.mems[rs.rank as usize].space;
+    space.write(va, &bytes).expect("eager ring buffer writable");
+    if (bytes.len() as u64) < ctx.cfg.eager_buf_size {
+        space
+            .write(va + bytes.len() as u64, &[0])
             .expect("eager ring buffer writable");
     }
+    if let Err(e) = post_slot(rs, ctx, ready, peer, va, bytes.len() as u64) {
+        rs.eager_send_free.push(va);
+        if post_suspends(rs, ctx, peer, e) {
+            rs.reconn
+                .get_mut(&peer)
+                .expect("entry ensured above")
+                .pending_ctrl
+                .push(bytes);
+            return;
+        }
+        rs.errors.push(MpiError::Post { peer, err: e });
+    }
+    recycle_ctrl_buf(rs, bytes);
+}
+
+/// Posts the first `len` bytes of send-ring slot `va` to `peer`.
+fn post_slot(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    ready: Time,
+    peer: u32,
+    va: Va,
+    len: u64,
+) -> Result<(), PostError> {
+    let wr = SendWr {
+        wr_id: WR_EAGER | va,
+        opcode: Opcode::Send,
+        sges: SgeList::of(Sge {
+            addr: va,
+            len,
+            lkey: rs.eager_lkey,
+        }),
+        remote: None,
+        signaled: true,
+    };
+    ctx.post_send(ready, rs.rank, peer, wr)
 }
 
 fn drain_pending_eager(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) {
     while !rs.eager_pending.is_empty() && !rs.eager_send_free.is_empty() {
         let p = rs.eager_pending.pop_front().expect("checked non-empty");
         let va = rs.eager_send_free.pop().expect("checked non-empty");
-        ctx.mems[rs.rank as usize]
-            .space
-            .write(va, &p.bytes)
-            .expect("eager ring buffer writable");
-        write_slot_terminator(rs, ctx, va, p.bytes.len());
         let ready = rs.cpu.reserve_labeled(
             ctx.now(),
             ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns,
             "ctrl",
         );
-        let wr = SendWr {
-            wr_id: WR_EAGER | va,
-            opcode: Opcode::Send,
-            sges: SgeList::of(Sge {
-                addr: va,
-                len: p.bytes.len() as u64,
-                lkey: rs.eager_lkey,
-            }),
-            remote: None,
-            signaled: true,
-        };
-        if let Err(e) = ctx.post_send(ready, rs.rank, p.peer, wr) {
-            rs.eager_send_free.push(va);
-            if ctx.cfg.recovery
-                && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-                && ensure_reconnect(rs, ctx, p.peer)
-            {
-                rs.reconn
-                    .get_mut(&p.peer)
-                    .expect("entry ensured above")
-                    .pending_ctrl
-                    .push(p.bytes);
-                continue;
-            }
-            rs.counters.post_errors += 1;
-            rs.errors.push(MpiError::Post {
-                peer: p.peer,
-                err: e,
-            });
-        }
-        recycle_ctrl_buf(rs, p.bytes);
+        post_ctrl_slot(rs, ctx, ready, p.peer, va, p.bytes);
     }
 }
 
@@ -1575,7 +1527,7 @@ fn on_ctrl(
                 receiver_on_seg_ready(rs, am, ctx, peer, seq, k, addr, rkey, len);
             }
             CtrlMsg::Fin { seq } => {
-                sender_on_fin(rs, am, ctx, peer, seq);
+                sender_done(rs, am, ctx, peer, seq, true);
             }
             CtrlMsg::RndvProbe { seq } => {
                 // The sender suspects its RndvStart or our reply was lost.
@@ -1642,18 +1594,8 @@ fn on_resume_request(
         return;
     }
     if am.sends.contains_key(&(peer, seq)) {
-        // P-RRS: the recovering receiver drives the reads; re-announce
-        // every packed segment (re-reads are idempotent).
-        let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-            return;
-        };
-        msg.posted_segs = 0;
-        try_post_ready(rs, ctx, &mut msg);
-        if let Some(err) = msg.failed.take() {
-            resolve_send_failure(rs, am, ctx, msg, err);
-            return;
-        }
-        am.sends.insert((peer, seq), msg);
+        // P-RRS: the recovering receiver drives the reads.
+        reannounce(rs, am, ctx, peer, seq);
         return;
     }
     if !ctx.fabric.faults_active() {
@@ -1679,9 +1621,7 @@ fn on_resume_ack(
     if done {
         // Everything (including the receiver-side completion) landed
         // before the failure; only our completion CQE was lost.
-        msg.completed = true;
-        sender_release(rs, ctx, &mut msg);
-        rs.complete_req(msg.req);
+        sender_complete(rs, ctx, msg);
         return;
     }
     rs.counters.resumed_chunks += from_k as u64;
@@ -1690,29 +1630,18 @@ fn on_resume_ack(
         // Every segment already reached the receiver; only the final
         // (signaled) completion was lost to the flush. The sender's
         // data duty is done.
-        msg.completed = true;
-        sender_release(rs, ctx, &mut msg);
-        rs.complete_req(msg.req);
+        sender_complete(rs, ctx, msg);
         return;
     }
-    if let Some(hy) = msg.hybrid.as_mut() {
-        // Hybrid restarts whole phases: direct writes and the marker
-        // are idempotent.
-        hy.direct_posted = false;
-        hy.marker_posted = false;
-    }
-    try_post_ready(rs, ctx, &mut msg);
-    if let Some(err) = msg.failed.take() {
-        resolve_send_failure(rs, am, ctx, msg, err);
-        return;
-    }
-    // Restart staging only for schemes that stage: RWG-UP (and the
-    // contiguous P-RRS sender) gathers straight from the pinned user
-    // buffer and owns no pack buffers.
-    if !msg.pack_bufs.is_empty() || msg.hybrid.is_some() {
+    // Hybrid restarts whole phases: direct writes and the marker are
+    // idempotent.
+    msg.direct_posted = false;
+    msg.marker_posted = false;
+    if let Some(mut msg) = post_ready(rs, am, ctx, msg) {
+        // Restart staging (a no-op for schemes without pack buffers).
         start_pack_chain(rs, ctx, &mut msg);
+        am.sends.insert((peer, seq), msg);
     }
-    am.sends.insert((peer, seq), msg);
 }
 
 // ---------------------------------------------------------------------
@@ -1848,7 +1777,7 @@ fn receiver_start(
         pending_reply: None,
         reads_outstanding: 0,
         segs_announced: 0,
-        packed_intervals: Vec::new(),
+        packed_ivs: Intervals::of((0, size)),
         marker_seen: false,
         completed: false,
         pinned_bytes: 0,
@@ -1858,183 +1787,127 @@ fn receiver_start(
     };
     am.imm_map.insert((p.peer, (seq & 0xFFFF) as u16), seq);
 
-    // Multi-W and Hybrid may not fit their reply into an eager buffer
-    // (a "complicated datatype" per §5.3); fall back to BC-SPUP.
-    if scheme == Scheme::MultiW {
-        let reply = build_multiw_reply(rs, ctx, &mut msg);
-        match reply {
-            Some(r) => {
-                // Guaranteed by build_multiw_reply's 2× budget check.
-                let cost = receiver_reg_cost(rs, ctx, &mut msg).unwrap_or(0);
-                maybe_evict_reply_reg(rs, ctx, &msg);
-                msg.pending_reply = Some(r);
-                let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-                ctx.cpu_event(
-                    done,
-                    rs.rank,
-                    CpuAct::ReceiverReady {
-                        peer: msg.peer,
-                        seq,
-                    },
-                );
-                am.recvs.insert((msg.peer, seq), msg);
-                return;
-            }
-            None => {
-                rs.counters.scheme_fallbacks += 1;
-                scheme = Scheme::BcSpup;
-                msg.scheme = scheme;
-            }
-        }
-    }
-    if scheme == Scheme::Hybrid {
-        match build_hybrid_reply(rs, ctx, &mut msg) {
-            Some(r) => {
-                maybe_evict_reply_reg(rs, ctx, &msg);
-                msg.pending_reply = Some(r);
-                let done = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-                ctx.cpu_event(
-                    done,
-                    rs.rank,
-                    CpuAct::ReceiverReady {
-                        peer: msg.peer,
-                        seq,
-                    },
-                );
-                am.recvs.insert((msg.peer, seq), msg);
-                return;
-            }
-            None => {
-                rs.counters.scheme_fallbacks += 1;
-                scheme = Scheme::BcSpup;
-                msg.scheme = scheme;
-            }
-        }
-    }
-    if scheme == Scheme::PRrs {
-        // Register the user buffer for scattered reads — unless the
-        // pinning budget is exhausted, in which case degrade to the
-        // copy-based BC-SPUP path (§4.3.3 graceful fallback).
-        match receiver_reg_cost(rs, ctx, &mut msg) {
-            Some(cost) => {
-                let reply = CtrlMsg::RndvReply {
-                    seq,
-                    scheme: scheme.to_wire(),
-                    body: ReplyBody::ReadGo,
-                };
-                msg.pending_reply = Some({
-                    let mut buf = take_ctrl_buf(rs);
-                    reply.encode_into(&mut buf);
-                    buf
-                });
-                let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-                ctx.cpu_event(
-                    done,
-                    rs.rank,
-                    CpuAct::ReceiverReady {
-                        peer: msg.peer,
-                        seq,
-                    },
-                );
-                am.recvs.insert((msg.peer, seq), msg);
-                return;
-            }
-            None => {
-                rs.counters.scheme_fallbacks += 1;
-                scheme = Scheme::BcSpup;
-                msg.scheme = scheme;
-            }
-        }
-    }
-
-    match scheme {
-        Scheme::Generic => {
-            // One dynamic unpack buffer for the whole message.
-            let sb = acquire_stage(rs, ctx, size);
-            let reply = CtrlMsg::RndvReply {
-                seq,
-                scheme: scheme.to_wire(),
-                body: ReplyBody::Buffer {
-                    addr: sb.va,
-                    rkey: sb.rkey,
-                },
+    // The zero-copy replies need the user buffer pinned: Multi-W and
+    // Hybrid register the blocks they receive directly (their reply may
+    // also outgrow an eager buffer — a "complicated datatype" per §5.3),
+    // P-RRS the whole buffer for scattered reads.
+    let zero_copy = match scheme {
+        Scheme::MultiW | Scheme::Hybrid => build_layout_reply(rs, ctx, &mut msg).map(|reply| {
+            let (cost, label) = if scheme == Scheme::MultiW {
+                // Guaranteed by build_layout_reply's 2× budget check.
+                (receiver_reg_cost(rs, ctx, &mut msg).unwrap_or(0), "reg")
+            } else {
+                (ctx.cfg.ctrl_overhead_ns, "ctrl")
             };
-            msg.unpack_bufs.push(sb);
-            msg.pending_reply = Some({
-                let mut buf = take_ctrl_buf(rs);
-                reply.encode_into(&mut buf);
-                buf
-            });
-            let done = rs
-                .cpu
-                .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-            ctx.cpu_event(
-                done,
-                rs.rank,
-                CpuAct::ReceiverReady {
-                    peer: msg.peer,
-                    seq,
-                },
-            );
-        }
-        Scheme::BcSpup | Scheme::RwgUp => {
-            let mut segs = crate::msg::SegList::new();
-            for _ in 0..nsegs {
-                let sb = acquire_unpack_seg(rs, ctx);
-                segs.push((sb.va, sb.rkey));
-                msg.unpack_bufs.push(sb);
+            maybe_evict_reply_reg(rs, ctx, &msg);
+            (reply, cost, label)
+        }),
+        Scheme::PRrs => receiver_reg_cost(rs, ctx, &mut msg).map(|cost| {
+            let reply = encode_reply(rs, seq, scheme, ReplyBody::ReadGo);
+            (reply, cost, "reg")
+        }),
+        _ => None,
+    };
+    let (reply, cost, label) = match zero_copy {
+        Some(prepared) => prepared,
+        None => {
+            if matches!(scheme, Scheme::MultiW | Scheme::Hybrid | Scheme::PRrs) {
+                // Degrade to the copy-based BC-SPUP path (§4.3.3
+                // graceful fallback).
+                rs.counters.scheme_fallbacks += 1;
+                scheme = Scheme::BcSpup;
+                msg.scheme = scheme;
             }
-            let reply = CtrlMsg::RndvReply {
-                seq,
-                scheme: scheme.to_wire(),
-                body: ReplyBody::Segments { segs },
-            };
-            msg.pending_reply = Some({
-                let mut buf = take_ctrl_buf(rs);
-                reply.encode_into(&mut buf);
-                buf
-            });
-            let done = rs
-                .cpu
-                .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-            ctx.cpu_event(
-                done,
-                rs.rank,
-                CpuAct::ReceiverReady {
-                    peer: msg.peer,
-                    seq,
+            let body = match scheme {
+                Scheme::Generic => {
+                    // One dynamic unpack buffer for the whole message.
+                    let sb = acquire_stage(rs, ctx, size);
+                    msg.unpack_bufs.push(sb);
+                    ReplyBody::Buffer {
+                        addr: sb.va,
+                        rkey: sb.rkey,
+                    }
+                }
+                Scheme::BcSpup | Scheme::RwgUp => ReplyBody::Segments {
+                    segs: assign_unpack_bufs(rs, ctx, &mut msg),
                 },
-            );
+                Scheme::MultiW | Scheme::Hybrid | Scheme::PRrs | Scheme::Adaptive => {
+                    unreachable!("resolved above")
+                }
+            };
+            let reply = encode_reply(rs, seq, scheme, body);
+            (reply, ctx.cfg.ctrl_overhead_ns, "ctrl")
         }
-        Scheme::MultiW | Scheme::Hybrid | Scheme::PRrs | Scheme::Adaptive => {
-            unreachable!("resolved above")
-        }
-    }
+    };
+    queue_reply(rs, ctx, &mut msg, reply, cost, label);
     am.recvs.insert((msg.peer, seq), msg);
 }
 
-/// Acquires pin-down registrations covering `blocks`, charging their
-/// bytes against `reg_budget_bytes`. Returns the host cost, or `None`
-/// when the budget would be exceeded — in which case nothing is
-/// acquired and the caller falls back to a copy-based scheme.
+/// Encodes a rendezvous reply into a recycled control buffer.
+fn encode_reply(rs: &mut RankState, seq: u64, scheme: Scheme, body: ReplyBody) -> Vec<u8> {
+    let mut buf = take_ctrl_buf(rs);
+    CtrlMsg::RndvReply {
+        seq,
+        scheme: scheme.to_wire(),
+        body,
+    }
+    .encode_into(&mut buf);
+    buf
+}
+
+/// Queues the encoded `reply` and schedules [`CpuAct::ReceiverReady`]
+/// once `cost` ns of preparation (labelled `label`) ran on the CPU.
+fn queue_reply(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut RecvMsg,
+    reply: Vec<u8>,
+    cost: Time,
+    label: &'static str,
+) {
+    msg.pending_reply = Some(reply);
+    let done = rs.cpu.reserve_labeled(ctx.now(), cost, label);
+    ctx.cpu_event(
+        done,
+        rs.rank,
+        CpuAct::ReceiverReady {
+            peer: msg.peer,
+            seq: msg.seq,
+        },
+    );
+}
+
+/// Acquires one unpack buffer per segment, returning their targets.
+fn assign_unpack_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) -> SegList {
+    let mut segs = SegList::new();
+    for _ in 0..msg.nsegs {
+        let sb = acquire_pool_seg(rs, ctx, true);
+        segs.push((sb.va, sb.rkey));
+        msg.unpack_bufs.push(sb);
+    }
+    segs
+}
+
+/// Pins `regions` (OGR-planned user-buffer regions) through the
+/// pin-down cache, charging their bytes against `reg_budget_bytes`.
+/// Returns the host cost, or `None` when the budget would be exceeded —
+/// in which case nothing is acquired and the caller falls back to a
+/// copy-based path.
 fn try_acquire_user_regs(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
-    blocks: &[(Va, u64)],
+    regions: &[(Va, u64)],
     regs_out: &mut Vec<Registration>,
     pinned_out: &mut u64,
 ) -> Option<Time> {
-    let plan = ogr::plan(blocks, &ctx.host.reg);
-    let need: u64 = plan.regions.iter().map(|&(_, l)| l).sum();
+    let need: u64 = regions.iter().map(|&(_, l)| l).sum();
     if rs.pinned_user_bytes.saturating_add(need) > ctx.cfg.reg_budget_bytes {
         return None;
     }
     rs.pinned_user_bytes += need;
     *pinned_out += need;
     let mut cost = 0;
-    for &(a, l) in &plan.regions {
+    for &(a, l) in regions {
         let acq = rs
             .pindown
             .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
@@ -2051,185 +1924,132 @@ fn receiver_reg_cost(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMs
     let plan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
     abs_blocks_into(&plan, msg.buf, &mut blocks);
-    let cost = try_acquire_user_regs(rs, ctx, &blocks, &mut msg.user_regs, &mut msg.pinned_bytes);
+    let regions = ogr::plan(&blocks, &ctx.host.reg).regions;
     rs.scratch.put_blocks(blocks);
+    let cost = try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes);
     cost.map(|c| c + device_reg_extra(ctx, rs.rank, msg.buf))
 }
 
-/// Builds the Multi-W reply, or `None` when it cannot fit an eager
-/// buffer.
-fn build_multiw_reply(
-    rs: &mut RankState,
-    ctx: &mut Ctx<'_, '_>,
-    msg: &mut RecvMsg,
-) -> Option<Vec<u8>> {
-    let tag = rs.registry.register(&msg.ty);
-    let key = (msg.peer, tag.index, tag.version);
-    let layout = if rs.sent_layouts.contains(&key) {
-        None
+/// Segment size of Hybrid's packed part (1 when nothing is packed).
+fn packed_seg_size(cfg: &MpiConfig, packed_bytes: u64) -> u64 {
+    if packed_bytes == 0 {
+        1
     } else {
-        Some(msg.ty.flat().as_ref().clone())
-    };
-    // Probe size before committing registrations.
-    let tplan = rs.plan_for(&msg.ty, msg.count);
-    let mut blocks = rs.scratch.take_blocks();
-    abs_blocks_into(&tplan, msg.buf, &mut blocks);
-    let plan = ogr::plan(&blocks, &ctx.host.reg);
-    rs.scratch.put_blocks(blocks);
-    // Both this commit and the caller's receiver_reg_cost charge the
-    // pinning budget (the pin-down cache refcounts the duplicate
-    // acquire), so require headroom for twice the footprint.
-    let need: u64 = plan.regions.iter().map(|&(_, l)| l).sum();
-    if rs.pinned_user_bytes.saturating_add(need.saturating_mul(2)) > ctx.cfg.reg_budget_bytes {
-        return None;
+        cfg.segment_size(packed_bytes).min(cfg.max_seg_size)
     }
-    let probe = CtrlMsg::RndvReply {
-        seq: msg.seq,
-        scheme: Scheme::MultiW.to_wire(),
-        body: ReplyBody::MultiW {
-            base: msg.buf,
-            tag,
-            count: msg.count,
-            layout: layout.clone(),
-            regions: plan.regions.iter().map(|&(a, l)| (a, l, 0)).collect(),
-        },
-    }
-    .encode();
-    if probe.len() as u64 > ctx.cfg.eager_buf_size {
-        return None;
-    }
-    if layout.is_some() {
-        rs.sent_layouts.insert(key);
-    }
-    // Commit: register and fill in real rkeys.
-    rs.pinned_user_bytes += need;
-    msg.pinned_bytes += need;
-    let mut regions = Vec::with_capacity(plan.regions.len());
-    let mut cost = 0;
-    for &(a, l) in &plan.regions {
-        let acq = rs
-            .pindown
-            .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
-        cost += acq.cost_ns;
-        msg.user_regs.push(acq.reg);
-        regions.push((a, l, acq.reg.rkey));
-    }
-    // The registration cost is charged by the caller through
-    // receiver_reg_cost's path; charge it here directly instead.
-    rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    Some(
-        CtrlMsg::RndvReply {
-            seq: msg.seq,
-            scheme: Scheme::MultiW.to_wire(),
-            body: ReplyBody::MultiW {
-                base: msg.buf,
-                tag,
-                count: msg.count,
-                layout,
-                regions,
-            },
-        }
-        .encode(),
-    )
 }
 
-/// Builds the Hybrid reply: registers the direct blocks, assigns
-/// unpack segments for the packed part, and records the partition on
-/// the receive message. Returns `None` when the reply cannot fit an
-/// eager buffer (fall back to BC-SPUP).
-fn build_hybrid_reply(
+/// Builds the Multi-W or Hybrid reply (per `msg.scheme`): offers the
+/// receiver layout unless this peer already caches it, probes the
+/// encoded size with placeholder keys, then pins the directly written
+/// blocks and fills in the real keys. Multi-W writes every block
+/// directly; Hybrid only those of at least `hybrid_block_threshold`
+/// bytes, and packs the rest into unpack segments, recording the
+/// partition on `msg`. Returns `None` — having acquired nothing — when
+/// the reply cannot fit an eager buffer or the pinning budget refuses.
+fn build_layout_reply(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
     msg: &mut RecvMsg,
 ) -> Option<Vec<u8>> {
+    let hybrid = msg.scheme == Scheme::Hybrid;
     let threshold = ctx.cfg.hybrid_block_threshold;
     let tplan = rs.plan_for(&msg.ty, msg.count);
     let mut blocks = rs.scratch.take_blocks();
     abs_blocks_into(&tplan, msg.buf, &mut blocks);
-    let mut lens = rs.scratch.take_lens();
-    lens.extend(blocks.iter().map(|&(_, l)| l));
-    let part = hybrid_partition(&lens, threshold);
-    rs.scratch.put_lens(lens);
-    let (nsegs_p, seg_size_p) = if part.packed_bytes == 0 {
-        (0u32, 1u64)
-    } else {
-        let ss = ctx
-            .cfg
-            .segment_size(part.packed_bytes)
-            .min(ctx.cfg.max_seg_size);
-        (part.packed_bytes.div_ceil(ss) as u32, ss)
-    };
+    let part = hybrid.then(|| {
+        let mut lens = rs.scratch.take_lens();
+        lens.extend(blocks.iter().map(|&(_, l)| l));
+        let part = hybrid_partition(&lens, threshold);
+        rs.scratch.put_lens(lens);
+        blocks.retain(|&(_, l)| l >= threshold);
+        part
+    });
+    let plan = ogr::plan(&blocks, &ctx.host.reg);
+    rs.scratch.put_blocks(blocks);
+    // Multi-W's caller re-acquires the same regions through
+    // receiver_reg_cost (the pin-down cache refcounts the duplicate and
+    // the budget is charged twice), so it needs twice the headroom.
+    let need: u64 = plan.regions.iter().map(|&(_, l)| l).sum();
+    let headroom = if hybrid { need } else { need.saturating_mul(2) };
+    if rs.pinned_user_bytes.saturating_add(headroom) > ctx.cfg.reg_budget_bytes {
+        return None;
+    }
+    let seg_size = part
+        .as_ref()
+        .map_or(1, |p| packed_seg_size(ctx.cfg, p.packed_bytes));
+    let nsegs = part
+        .as_ref()
+        .map_or(0, |p| p.packed_bytes.div_ceil(seg_size) as u32);
 
     let tag = rs.registry.register(&msg.ty);
     let key = (msg.peer, tag.index, tag.version);
-    let layout = if rs.sent_layouts.contains(&key) {
-        None
-    } else {
-        Some(msg.ty.flat().as_ref().clone())
+    let layout = (!rs.sent_layouts.contains(&key)).then(|| msg.ty.flat().as_ref().clone());
+    let (seq, base, count, scheme) = (msg.seq, msg.buf, msg.count, msg.scheme);
+    let encode = move |layout, regions, segs| {
+        let body = if hybrid {
+            ReplyBody::Hybrid {
+                base,
+                tag,
+                count,
+                layout,
+                regions,
+                segs,
+                threshold,
+            }
+        } else {
+            ReplyBody::MultiW {
+                base,
+                tag,
+                count,
+                layout,
+                regions,
+            }
+        };
+        CtrlMsg::RndvReply {
+            seq,
+            scheme: scheme.to_wire(),
+            body,
+        }
+        .encode()
     };
-    // Probe the reply size with placeholder keys before committing.
-    // The full block list is no longer needed, so narrow it to the
-    // direct part in place and hand the scratch vector back.
-    blocks.retain(|&(_, l)| l >= threshold);
-    let plan = ogr::plan(&blocks, &ctx.host.reg);
-    rs.scratch.put_blocks(blocks);
-    let probe = CtrlMsg::RndvReply {
-        seq: msg.seq,
-        scheme: Scheme::Hybrid.to_wire(),
-        body: ReplyBody::Hybrid {
-            base: msg.buf,
-            tag,
-            count: msg.count,
-            layout: layout.clone(),
-            regions: plan.regions.iter().map(|&(a, l)| (a, l, 0)).collect(),
-            segs: vec![(0, 0); nsegs_p as usize],
-            threshold,
-        },
-    }
-    .encode();
+    let mut regions: Vec<Region> = plan.regions.iter().map(|&(a, l)| (a, l, 0)).collect();
+    let probe = encode(
+        layout.clone(),
+        regions.clone(),
+        (0..nsegs).map(|_| (0, 0)).collect(),
+    );
     if probe.len() as u64 > ctx.cfg.eager_buf_size {
         return None;
     }
     if layout.is_some() {
         rs.sent_layouts.insert(key);
     }
-    // Commit: register direct regions, acquire unpack segments.
-    let mut regions = Vec::with_capacity(plan.regions.len());
-    let mut cost = 0;
-    for &(a, l) in &plan.regions {
-        let acq = rs
-            .pindown
-            .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
-        cost += acq.cost_ns;
-        msg.user_regs.push(acq.reg);
-        regions.push((a, l, acq.reg.rkey));
+    // Commit: pin the regions (the budget was checked above) and fill
+    // in the real rkeys, then acquire the unpack segments.
+    let first = msg.user_regs.len();
+    let cost = try_acquire_user_regs(
+        rs,
+        ctx,
+        &plan.regions,
+        &mut msg.user_regs,
+        &mut msg.pinned_bytes,
+    )
+    .expect("budget checked above");
+    for (r, reg) in regions.iter_mut().zip(&msg.user_regs[first..]) {
+        r.2 = reg.rkey;
     }
     rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    let mut segs = Vec::with_capacity(nsegs_p as usize);
-    for _ in 0..nsegs_p {
-        let sb = acquire_unpack_seg(rs, ctx);
-        segs.push((sb.va, sb.rkey));
-        msg.unpack_bufs.push(sb);
-    }
-    msg.nsegs = nsegs_p;
-    msg.seg_size = seg_size_p;
-    msg.packed_intervals = part.packed;
-    Some(
-        CtrlMsg::RndvReply {
-            seq: msg.seq,
-            scheme: Scheme::Hybrid.to_wire(),
-            body: ReplyBody::Hybrid {
-                base: msg.buf,
-                tag,
-                count: msg.count,
-                layout,
-                regions,
-                segs,
-                threshold,
-            },
+    let segs = match part {
+        Some(part) => {
+            msg.nsegs = nsegs;
+            msg.seg_size = seg_size;
+            msg.packed_ivs = part.packed.into();
+            assign_unpack_bufs(rs, ctx, msg)
         }
-        .encode(),
-    )
+        None => SegList::new(),
+    };
+    Some(encode(layout, regions, segs))
 }
 
 /// A data segment (or whole message) arrived, announced by immediate
@@ -2268,27 +2088,17 @@ fn on_segment_arrival(
     }
     msg.segs_arrived += 1;
     match msg.scheme {
-        Scheme::Generic => {
-            // Whole message in unpack_bufs[0]: unpack it all.
-            let plan = rs.plan_for(&msg.ty, msg.count);
-            let mut data = rs.scratch.take_bytes(msg.size as usize);
-            data.copy_from_slice(
-                ctx.mems[rs.rank as usize]
-                    .space
-                    .slice(msg.unpack_bufs[0].va, msg.size)
-                    .expect("unpack buffer readable"),
-            );
-            unpack_from_slice(ctx, rs.rank, &plan, msg.buf, 0, msg.size, &data);
-            rs.scratch.put_bytes(data);
-            let (blocks, _) = plan.block_count_in(0, msg.size).expect("range valid");
-            rs.counters.bytes_unpacked += msg.size;
-            let buf = msg.buf;
-            let size = msg.size;
-            let done = charge_copy(rs, ctx, buf, blocks, size, true, "unpack");
-            ctx.cpu_event(done, rs.rank, CpuAct::UnpackAll { peer, seq });
+        Scheme::Hybrid if k == MARKER_K => {
+            // The marker is posted last on the QP: the direct writes
+            // landed; complete once the packed part is unpacked too.
+            msg.marker_seen = true;
+            if msg.segs_unpacked == msg.nsegs {
+                receiver_complete(rs, am, ctx, peer, seq);
+            }
         }
-        Scheme::BcSpup | Scheme::RwgUp => {
-            if ctx.cfg.segment_unpack || msg.scheme == Scheme::BcSpup {
+        // Generic's whole message is its one segment.
+        Scheme::Generic | Scheme::BcSpup | Scheme::RwgUp | Scheme::Hybrid => {
+            if ctx.cfg.segment_unpack || msg.scheme != Scheme::RwgUp {
                 unpack_segment(rs, ctx, msg, k);
             } else if msg.segs_arrived == msg.nsegs {
                 // Fig. 12 ablation: unpack everything only after the
@@ -2312,16 +2122,6 @@ fn on_segment_arrival(
             // Zero-copy: data is already in place; the immediate on the
             // last write is the completion notification.
             receiver_complete(rs, am, ctx, peer, seq);
-        }
-        Scheme::Hybrid => {
-            if k == MARKER_K {
-                msg.marker_seen = true;
-                if msg.segs_unpacked == msg.nsegs {
-                    receiver_complete(rs, am, ctx, peer, seq);
-                }
-            } else {
-                hybrid_unpack_segment(rs, ctx, msg, k);
-            }
         }
         Scheme::PRrs | Scheme::Adaptive => {
             // No write-path segments exist for these schemes; a stray
@@ -2348,10 +2148,11 @@ fn unpack_segment(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg, 
     );
 }
 
-/// Performs the functional unpack of segment `k`, returning the block
-/// and byte counts the caller charges costs on (segment-at-a-time paths
-/// route through [`charge_copy`]; the Fig. 12 batch ablation sums
-/// per-segment `copy_ns` itself so its ceil-rounded total is unchanged).
+/// Performs the functional unpack of segment `k` into the stream
+/// intervals it carries, returning the block and byte counts the
+/// caller charges costs on (segment-at-a-time paths route through
+/// [`charge_copy`]; the Fig. 12 batch ablation sums per-segment
+/// `copy_ns` itself so its ceil-rounded total is unchanged).
 fn unpack_segment_do(
     rs: &mut RankState,
     ctx: &mut Ctx<'_, '_>,
@@ -2361,7 +2162,7 @@ fn unpack_segment_do(
     let rank = rs.rank;
     let plan = rs.plan_for(&msg.ty, msg.count);
     let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(msg.size);
+    let hi = (lo + msg.seg_size).min(ivs_bytes(&msg.packed_ivs));
     let mut data = rs.scratch.take_bytes((hi - lo) as usize);
     data.copy_from_slice(
         ctx.mems[rank as usize]
@@ -2369,57 +2170,16 @@ fn unpack_segment_do(
             .slice(msg.unpack_bufs[k as usize].va, hi - lo)
             .expect("unpack buffer readable"),
     );
-    unpack_from_slice(ctx, rank, &plan, msg.buf, lo, hi, &data);
-    rs.scratch.put_bytes(data);
-    let (blocks, _) = plan.block_count_in(lo, hi).expect("range valid");
-    (blocks, hi - lo)
-}
-
-/// Unpacks Hybrid packed segment `k` from its pool buffer into the
-/// small-block stream intervals it covers.
-fn hybrid_unpack_segment(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg, k: u32) {
-    let packed_bytes: u64 = msg.packed_intervals.iter().map(|&(a, b)| b - a).sum();
-    let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(packed_bytes);
-    let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    data.copy_from_slice(
-        ctx.mems[rs.rank as usize]
-            .space
-            .slice(msg.unpack_bufs[k as usize].va, hi - lo)
-            .expect("unpack buffer readable"),
-    );
-    let stream_ivs = substream_to_stream(&msg.packed_intervals, lo, hi);
-    let plan = rs.plan_for(&msg.ty, msg.count);
-    let mut cursor = 0usize;
-    let mut blocks = 0usize;
-    for &(a, b) in &stream_ivs {
+    let (mut cursor, mut blocks) = (0usize, 0usize);
+    for_each_substream_piece(msg.packed_ivs.iter().copied(), lo, hi, |a, b| {
         let n = (b - a) as usize;
-        unpack_from_slice(
-            ctx,
-            rs.rank,
-            &plan,
-            msg.buf,
-            a,
-            b,
-            &data[cursor..cursor + n],
-        );
+        let piece = &data[cursor..cursor + n];
+        unpack_from_slice(ctx, rank, &plan, msg.buf, a, b, piece);
         cursor += n;
-        let (nb, _) = plan.block_count_in(a, b).expect("range valid");
-        blocks += nb;
-    }
+        blocks += plan.block_count_in(a, b).expect("range valid").0;
+    });
     rs.scratch.put_bytes(data);
-    rs.counters.bytes_unpacked += hi - lo;
-    let buf = msg.buf;
-    let done = charge_copy(rs, ctx, buf, blocks, hi - lo, true, "unpack");
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::UnpackSeg {
-            peer: msg.peer,
-            seq: msg.seq,
-            k,
-        },
-    );
+    (blocks, hi - lo)
 }
 
 fn receiver_complete(
@@ -2451,10 +2211,7 @@ fn receiver_complete(
 /// Releases a receive message's staging buffers, user registrations,
 /// and budget charge (shared by completion and abort).
 fn receiver_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg) {
-    release_stage_bufs(rs, ctx, &msg.unpack_bufs, true);
-    let mut bufs = std::mem::take(&mut msg.unpack_bufs);
-    bufs.clear();
-    rs.scratch.put_stage(bufs);
+    release_stage_bufs(rs, ctx, &mut msg.unpack_bufs, true);
     if let Some(v) = msg.pending_reply.take() {
         rs.scratch.put_bytes(v);
     }
@@ -2462,9 +2219,21 @@ fn receiver_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg
         rs.scratch.put_bytes(v);
     }
     rs.scratch.put_set(std::mem::take(&mut msg.segs_seen));
+    release_user_regs(rs, ctx, &mut msg.user_regs, &mut msg.pinned_bytes);
+}
+
+/// Releases a message's user-buffer registrations and returns their
+/// budget charge (shared by both sides' completion and abort).
+fn release_user_regs(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    regs: &mut Vec<Registration>,
+    pinned: &mut u64,
+) {
     let mut cost = 0;
-    for r in &msg.user_regs {
-        // `BadKey` = force-evicted under the transfer (§5.4.2).
+    for r in regs.drain(..) {
+        // A `BadKey` means the pin-down cache force-evicted the region
+        // under the transfer (§5.4.2) — already deregistered.
         if let Ok(c) =
             rs.pindown
                 .release(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, r.lkey)
@@ -2472,12 +2241,11 @@ fn receiver_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut RecvMsg
             cost += c;
         }
     }
-    msg.user_regs.clear();
     if cost > 0 {
         rs.cpu.reserve_labeled(ctx.now(), cost, "dereg");
     }
-    rs.pinned_user_bytes = rs.pinned_user_bytes.saturating_sub(msg.pinned_bytes);
-    msg.pinned_bytes = 0;
+    rs.pinned_user_bytes = rs.pinned_user_bytes.saturating_sub(*pinned);
+    *pinned = 0;
 }
 
 /// P-RRS: a packed segment is available on the sender; issue reads.
@@ -2506,56 +2274,39 @@ fn receiver_on_seg_ready(
     }
     msg.segs_announced += 1;
     let lo = k as u64 * msg.seg_size;
-    let hi = lo + len;
     let plan = rs.plan_for(&msg.ty, msg.count);
-    let mbuf = msg.buf;
-    let mut blocks = rs.scratch.take_blocks();
-    plan.for_each_block(lo, hi, |off, l| {
-        blocks.push(((mbuf as i64 + off) as u64, l));
-    })
-    .expect("range valid");
-    let chunks = chunk_gather(&blocks, ctx.net.max_sge);
-    rs.scratch.put_blocks(blocks);
-    let mut src_off = 0u64;
-    let n = chunks.len();
-    let mut wrs = Vec::with_capacity(n);
-    for (sges, clen) in chunks {
-        let sges = sges
-            .into_iter()
-            .map(|(a, l)| Sge {
-                addr: a,
-                len: l,
-                lkey: lkey_for(&msg.user_regs, a, l),
+    let mut wrs = Vec::new();
+    // Read-Scatter: each read lands in up to `max_sge` user blocks.
+    let regs = &msg.user_regs;
+    for_each_gather(
+        ctx.net,
+        &plan,
+        msg.buf,
+        regs,
+        (lo, lo + len),
+        |sges, at, _| {
+            wrs.push(SendWr {
+                wr_id: WR_READ | seq,
+                opcode: Opcode::RdmaRead,
+                sges,
+                remote: Some((addr + at, rkey)),
+                signaled: true,
             })
-            .collect();
-        wrs.push(SendWr {
-            wr_id: WR_READ | seq,
-            opcode: Opcode::RdmaRead,
-            sges,
-            remote: Some((addr + src_off, rkey)),
-            signaled: true,
-        });
-        src_off += clen;
-    }
+        },
+    );
+    let n = wrs.len();
     msg.reads_outstanding += n as u32;
     rs.counters.data_wrs += n as u64;
-    let mut post_err = None;
-    for wr in wrs {
+    let posted = wrs.into_iter().try_for_each(|wr| {
         let ready = rs
             .cpu
             .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-        if let Err(e) = ctx.post_send(ready, rs.rank, peer, wr) {
-            post_err = Some(e);
-            break;
-        }
-    }
-    if let Some(e) = post_err {
+        ctx.post_send(ready, rs.rank, peer, wr)
+    });
+    if let Err(e) = posted {
         // A dead QP hands the read-driven transfer to the connection
         // manager instead of failing the receive.
-        if ctx.cfg.recovery
-            && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-            && ensure_reconnect(rs, ctx, peer)
-        {
+        if post_suspends(rs, ctx, peer, e) {
             rs.reconn
                 .get_mut(&peer)
                 .expect("entry ensured above")
@@ -2563,7 +2314,6 @@ fn receiver_on_seg_ready(
                 .insert(seq);
             return;
         }
-        rs.counters.post_errors += 1;
         abort_recv(rs, am, ctx, peer, seq, MpiError::Post { peer, err: e });
     }
 }
@@ -2597,7 +2347,7 @@ fn sender_on_reply(
     peer: u32,
     seq: u64,
     scheme_wire: u8,
-    body: ReplyBody,
+    mut body: ReplyBody,
 ) {
     let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
         // The send was aborted earlier (flush/timeout) or already
@@ -2617,210 +2367,147 @@ fn sender_on_reply(
         am.sends.insert((peer, seq), msg);
         return;
     };
-    let proposed = msg.scheme;
-    msg.scheme = reply_scheme;
-
-    let targets = match body {
-        ReplyBody::Buffer { addr, rkey } => SendTargets::Buffer { addr, rkey },
-        ReplyBody::Segments { segs } => SendTargets::Segments(segs),
-        ReplyBody::ReadGo => SendTargets::ReadGo,
+    // Multi-W and Hybrid replies name the receiver's layout — shipped
+    // with the reply or cached from an earlier one. Resolve it once into
+    // absolute receiver blocks.
+    let rcv_blocks: Vec<(Va, u64)> = match &mut body {
         ReplyBody::MultiW {
             base,
             tag,
             count,
             layout,
-            regions,
+            ..
+        }
+        | ReplyBody::Hybrid {
+            base,
+            tag,
+            count,
+            layout,
+            ..
         } => {
-            let layout: Arc<FlatLayout> = match layout {
+            let layout: Arc<FlatLayout> = match layout.take() {
                 Some(l) => {
                     let l = Arc::new(l);
-                    rs.layout_cache.insert(peer, tag, l.clone());
+                    rs.layout_cache.insert(peer, *tag, l.clone());
                     l
                 }
-                None => match rs.layout_cache.lookup(peer, tag) {
+                None => match rs.layout_cache.lookup(peer, *tag) {
                     Some(l) => l,
                     None => {
                         // The promised cached layout is gone — the
                         // reply cannot be acted on.
                         rs.errors.push(MpiError::MalformedCtrl { peer });
-                        msg.scheme = proposed;
                         am.sends.insert((peer, seq), msg);
                         return;
                     }
                 },
             };
-            let rcv_blocks = layout
-                .repeat(count)
+            layout
+                .repeat(*count)
                 .into_iter()
-                .map(|(o, l)| ((base as i64 + o) as u64, l))
-                .collect();
-            SendTargets::MultiW {
-                rcv_blocks,
-                regions,
-            }
+                .map(|(o, l)| ((*base as i64 + o) as u64, l))
+                .collect()
         }
+        _ => Vec::new(),
+    };
+    msg.scheme = reply_scheme;
+    let targets = match body {
+        ReplyBody::Buffer { addr, rkey } => SendTargets::Buffer { addr, rkey },
+        ReplyBody::Segments { segs } => SendTargets::Segments(segs),
+        ReplyBody::ReadGo => SendTargets::ReadGo,
+        ReplyBody::MultiW { regions, .. } => SendTargets::MultiW {
+            rcv_blocks,
+            regions,
+        },
         ReplyBody::Hybrid {
-            base,
-            tag,
-            count,
-            layout,
             regions,
             segs,
             threshold,
+            ..
         } => {
-            let layout: Arc<FlatLayout> = match layout {
-                Some(l) => {
-                    let l = Arc::new(l);
-                    rs.layout_cache.insert(peer, tag, l.clone());
-                    l
-                }
-                None => match rs.layout_cache.lookup(peer, tag) {
-                    Some(l) => l,
-                    None => {
-                        rs.errors.push(MpiError::MalformedCtrl { peer });
-                        msg.scheme = proposed;
-                        am.sends.insert((peer, seq), msg);
-                        return;
-                    }
-                },
-            };
-            let rcv_blocks: Vec<(Va, u64)> = layout
-                .repeat(count)
-                .into_iter()
-                .map(|(o, l)| ((base as i64 + o) as u64, l))
-                .collect();
+            // Both sides derive the same partition from the receiver's
+            // block lengths; each direct interval is one large receiver
+            // block, in order.
             let mut lens = rs.scratch.take_lens();
             lens.extend(rcv_blocks.iter().map(|&(_, l)| l));
             let part = hybrid_partition(&lens, threshold);
             rs.scratch.put_lens(lens);
-            // Each direct interval corresponds to one receiver block;
-            // pair them up by walking the blocks again.
-            let mut direct = Vec::with_capacity(part.direct.len());
-            let mut pos = 0u64;
-            for &(a, l) in &rcv_blocks {
-                if l >= threshold {
-                    direct.push((pos, pos + l, a));
-                }
-                pos += l;
-            }
-            debug_assert_eq!(direct.len(), part.direct.len());
-            let seg_size_p = if part.packed_bytes == 0 {
-                1
-            } else {
-                ctx.cfg
-                    .segment_size(part.packed_bytes)
-                    .min(ctx.cfg.max_seg_size)
-            };
+            let direct = part
+                .direct
+                .iter()
+                .zip(rcv_blocks.iter().filter(|&&(_, l)| l >= threshold))
+                .map(|(&(lo, hi), &(dst, _))| (lo, hi, dst))
+                .collect();
             msg.nsegs = segs.len() as u32;
-            msg.seg_size = seg_size_p;
-            msg.hybrid = Some(HybridSend {
-                packed_intervals: part.packed,
-                direct,
+            msg.seg_size = packed_seg_size(ctx.cfg, part.packed_bytes);
+            msg.packed_ivs = part.packed.into();
+            SendTargets::Hybrid {
                 segs,
+                direct,
                 regions,
-                direct_posted: false,
-                marker_posted: false,
-            });
-            SendTargets::HybridReady
+            }
         }
     };
     msg.targets = Some(targets);
 
-    let _ = proposed;
+    // Where the reply wants the user buffer pinned and the budget
+    // refuses, degrade to a copy path on this side only (§4.3.3).
+    let wants_pin = match msg.scheme {
+        Scheme::RwgUp | Scheme::MultiW => true,
+        Scheme::PRrs => msg.contig,
+        _ => false,
+    };
+    if wants_pin && !msg.reg_done && msg.user_regs.is_empty() && !sender_register(rs, ctx, &mut msg)
+    {
+        rs.counters.scheme_fallbacks += 1;
+        match msg.scheme {
+            // The receiver's blocks are already pinned on its side:
+            // stage the whole message and stream it into those blocks.
+            Scheme::MultiW => (msg.mw_stage, msg.reg_done) = (true, true),
+            // Packed writes into the same segment targets.
+            Scheme::RwgUp => msg.scheme = Scheme::BcSpup,
+            // Announce packed pool segments, like a non-contiguous sender.
+            _ => msg.contig = false,
+        }
+    }
     // Ensure the early work matching the *reply's* scheme is running —
     // the receiver may have picked differently (adaptive decision,
-    // Multi-W fallback, or the zero-copy contiguous path). Where the
-    // reply wants the user buffer pinned and the budget refuses,
-    // degrade to a copy path on this side only (§4.3.3).
+    // Multi-W fallback, or the zero-copy contiguous path).
     match msg.scheme {
-        Scheme::Generic => {
-            if msg.pack_bufs.is_empty() {
-                let sb = acquire_stage(rs, ctx, msg.size);
-                msg.pack_bufs.push(sb);
-                msg.nsegs = 1;
-                msg.seg_size = msg.size;
-                start_pack_chain(rs, ctx, &mut msg);
-            }
+        Scheme::Generic if msg.pack_bufs.is_empty() => stage_whole(rs, ctx, &mut msg),
+        Scheme::MultiW if msg.mw_stage && msg.pack_bufs.is_empty() => {
+            stage_whole(rs, ctx, &mut msg)
         }
-        Scheme::PRrs if msg.contig => {
-            // Contiguous sender: no packing at all — the receiver reads
-            // straight out of the registered user buffer (§5.2's
-            // asymmetric case, where P-RRS shines).
-            if !msg.reg_done && msg.user_regs.is_empty() && !sender_register(rs, ctx, &mut msg) {
-                // Cannot pin the user buffer: announce packed pool
-                // segments instead, like a non-contiguous sender.
-                rs.counters.scheme_fallbacks += 1;
-                msg.contig = false;
-                assign_pack_bufs(rs, ctx, &mut msg);
-                start_pack_chain(rs, ctx, &mut msg);
-            }
+        // A contiguous P-RRS sender never packs: the receiver reads
+        // straight out of the registered user buffer (§5.2's
+        // asymmetric case, where P-RRS shines).
+        Scheme::PRrs if msg.contig => {}
+        // Segmentation is unchanged — nsegs/seg_size were in the start
+        // message and the receiver echoes them.
+        Scheme::BcSpup | Scheme::PRrs if msg.pack_bufs.is_empty() => {
+            start_packing(rs, ctx, &mut msg)
         }
-        Scheme::BcSpup | Scheme::PRrs => {
-            if msg.pack_bufs.is_empty() {
-                // Segmentation is unchanged — nsegs/seg_size were in
-                // the start message and the receiver echoes them.
-                assign_pack_bufs(rs, ctx, &mut msg);
-                start_pack_chain(rs, ctx, &mut msg);
-            }
-        }
-        Scheme::RwgUp => {
-            if !msg.reg_done && msg.user_regs.is_empty() && !sender_register(rs, ctx, &mut msg) {
-                // Gather writes need the pinned user buffer; fall back
-                // to packed writes into the same segment targets.
-                rs.counters.scheme_fallbacks += 1;
-                msg.scheme = Scheme::BcSpup;
-                if msg.pack_bufs.is_empty() {
-                    assign_pack_bufs(rs, ctx, &mut msg);
-                    start_pack_chain(rs, ctx, &mut msg);
-                }
-            }
-        }
-        Scheme::MultiW => {
-            if !msg.reg_done && msg.user_regs.is_empty() && !sender_register(rs, ctx, &mut msg) {
-                // The receiver's blocks are already pinned on its side;
-                // stage the whole message through a copy buffer and
-                // stream it into those blocks.
-                rs.counters.scheme_fallbacks += 1;
-                msg.mw_stage = true;
-                msg.reg_done = true;
-                if msg.pack_bufs.is_empty() {
-                    msg.nsegs = 1;
-                    msg.seg_size = msg.size.max(1);
-                    let sb = acquire_stage(rs, ctx, msg.size);
-                    msg.pack_bufs.push(sb);
-                }
-                start_pack_chain(rs, ctx, &mut msg);
-            }
-        }
-        Scheme::Hybrid => {
-            // hybrid_register runs when the reply body is decoded.
-        }
+        Scheme::Hybrid => top_up_direct_regs(rs, ctx, &mut msg),
         Scheme::Adaptive => unreachable!("reply always carries a concrete scheme"),
+        _ => {}
     }
 
-    if msg.scheme == Scheme::Hybrid {
-        hybrid_register(rs, ctx, &mut msg);
+    if let Some(msg) = post_ready(rs, am, ctx, msg) {
+        am.sends.insert((peer, seq), msg);
     }
-    try_post_ready(rs, ctx, &mut msg);
-    if let Some(err) = msg.failed.take() {
-        resolve_send_failure(rs, am, ctx, msg, err);
-        return;
-    }
-    am.sends.insert((peer, seq), msg);
 }
 
-/// Registers exactly the sender blocks that feed Hybrid direct writes
-/// (the packed part travels through pool buffers and needs no user
-/// registration). Sets `reg_done` synchronously when nothing needs
-/// pinning.
-fn hybrid_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    let Some(hy) = msg.hybrid.as_ref() else {
-        return;
-    };
+/// Tops the isend-time Hybrid registration up to exactly the sender
+/// blocks feeding the receiver's direct part (the packed part travels
+/// through pool buffers and needs none). Sets `reg_done` synchronously
+/// when nothing needs pinning; when the budget refuses, the direct part
+/// is staged through a copy buffer instead (Multi-W's degraded mode).
+fn top_up_direct_regs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
+    let (direct, _) = direct_part(msg);
     let tplan = rs.plan_for(&msg.ty, msg.count);
     let mbuf = msg.buf;
     let mut blocks = rs.scratch.take_blocks();
-    for &(lo, hi, _) in &hy.direct {
+    for &(lo, hi, _) in direct {
         tplan
             .for_each_block(lo, hi, |off, l| {
                 blocks.push(((mbuf as i64 + off) as u64, l));
@@ -2828,55 +2515,43 @@ fn hybrid_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg)
             .expect("range valid");
     }
     // Drop blocks already covered by registrations acquired earlier
-    // (e.g. the contiguous-sender fast path).
+    // (the prediction, or the contiguous-sender fast path).
     blocks.retain(|&(a, l)| !msg.user_regs.iter().any(|r| r.covers(a, l)));
     if blocks.is_empty() {
-        // Prediction covered everything (or no direct part): posting
-        // may proceed as soon as any in-flight registration completes.
-        rs.scratch.put_blocks(blocks);
+        // Posting may proceed as soon as any in-flight registration
+        // completes.
         if msg.user_regs.is_empty() {
             msg.reg_done = true;
         }
-        return;
+    } else {
+        msg.reg_done = false;
+        if !sender_pin(rs, ctx, msg, &blocks, 0) {
+            rs.counters.scheme_fallbacks += 1;
+            msg.mw_stage = true;
+            msg.reg_done = true;
+        }
     }
-    // The receiver's partition needs more coverage than predicted.
-    msg.reg_done = false;
-    let plan = ogr::plan(&blocks, &ctx.host.reg);
     rs.scratch.put_blocks(blocks);
-    let mut cost = 0;
-    for &(a, l) in &plan.regions {
-        let acq = rs
-            .pindown
-            .acquire(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, a, l);
-        cost += acq.cost_ns;
-        msg.user_regs.push(acq.reg);
-    }
-    let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::SenderRegDone {
-            peer: msg.peer,
-            seq: msg.seq,
-        },
-    );
 }
 
-/// Registers the sender's user buffer via OGR (RWG-UP / Multi-W).
-/// Returns `false` — acquiring nothing and scheduling nothing — when
-/// the pinning budget would be exceeded.
-fn sender_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
-    let plan = rs.plan_for(&msg.ty, msg.count);
-    let mut blocks = rs.scratch.take_blocks();
-    abs_blocks_into(&plan, msg.buf, &mut blocks);
+/// Pins `blocks` of the sender's user buffer through the budgeted
+/// acquire and schedules [`CpuAct::SenderRegDone`] once the
+/// registration (plus `extra_ns`) ran. Returns `false` — acquiring and
+/// scheduling nothing — when the pinning budget would be exceeded.
+fn sender_pin(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut SendMsg,
+    blocks: &[(Va, u64)],
+    extra_ns: Time,
+) -> bool {
+    let regions = ogr::plan(blocks, &ctx.host.reg).regions;
     let acquired =
-        try_acquire_user_regs(rs, ctx, &blocks, &mut msg.user_regs, &mut msg.pinned_bytes);
-    rs.scratch.put_blocks(blocks);
-    let Some(mut cost) = acquired else {
+        try_acquire_user_regs(rs, ctx, &regions, &mut msg.user_regs, &mut msg.pinned_bytes);
+    let Some(cost) = acquired else {
         return false;
     };
-    cost += device_reg_extra(ctx, rs.rank, msg.buf);
-    let done = rs.cpu.reserve_labeled(ctx.now(), cost, "reg");
+    let done = rs.cpu.reserve_labeled(ctx.now(), cost + extra_ns, "reg");
     ctx.cpu_event(
         done,
         rs.rank,
@@ -2888,38 +2563,53 @@ fn sender_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg)
     true
 }
 
-/// Assigns pack staging buffers for all segments.
-fn assign_pack_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
+/// Registers the sender's user buffer via OGR (RWG-UP / Multi-W).
+/// Returns `false` — acquiring nothing and scheduling nothing — when
+/// the pinning budget would be exceeded.
+fn sender_register(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
+    let plan = rs.plan_for(&msg.ty, msg.count);
+    let mut blocks = rs.scratch.take_blocks();
+    abs_blocks_into(&plan, msg.buf, &mut blocks);
+    let extra = device_reg_extra(ctx, rs.rank, msg.buf);
+    let pinned = sender_pin(rs, ctx, msg, &blocks, extra);
+    rs.scratch.put_blocks(blocks);
+    pinned
+}
+
+/// Packs the whole message as one segment into a dynamically allocated
+/// staging buffer (Generic, and Multi-W's degraded mode).
+fn stage_whole(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
+    msg.nsegs = 1;
+    msg.seg_size = msg.size.max(1);
+    let sb = acquire_stage(rs, ctx, msg.size);
+    msg.pack_bufs.push(sb);
+    start_pack_chain(rs, ctx, msg);
+}
+
+/// Assigns pack staging buffers for all segments and starts the pack
+/// chain.
+fn start_packing(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
     for _ in 0..msg.nsegs {
-        let sb = acquire_pack_seg(rs, ctx);
+        let sb = acquire_pool_seg(rs, ctx, false);
         msg.pack_bufs.push(sb);
     }
+    start_pack_chain(rs, ctx, msg);
 }
 
 /// Starts (or continues) the sender's pack chain: one segment at a time
 /// on the CPU, so posting interleaves with packing (§4.3.1 pipelining).
+/// Segment `k` gathers its share of the packed stream intervals.
 fn start_pack_chain(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    if msg.pack_chain_running || msg.packed >= msg.nsegs {
-        return;
-    }
-    if msg.scheme == Scheme::Hybrid {
-        hybrid_pack_next(rs, ctx, msg);
-        return;
-    }
     let k = msg.packed;
-    let plan = rs.plan_for(&msg.ty, msg.count);
+    // Hybrid assigns its pack buffers only once the direct writes are
+    // out; schemes that never pack own none.
+    if msg.pack_chain_running || k >= msg.nsegs || k as usize >= msg.pack_bufs.len() {
+        return;
+    }
     let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(msg.size);
-    let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    pack_range(ctx, rs.rank, &plan, msg.buf, lo, hi, &mut data);
-    ctx.mems[rs.rank as usize]
-        .space
-        .write(msg.pack_bufs[k as usize].va, &data)
-        .expect("pack buffer writable");
-    rs.scratch.put_bytes(data);
-    let (blocks, _) = plan.block_count_in(lo, hi).expect("range valid");
-    let buf = msg.buf;
-    let done = charge_copy(rs, ctx, buf, blocks, hi - lo, false, "pack");
+    let hi = lo + seg_len(msg, k);
+    let dst = msg.pack_bufs[k as usize].va;
+    let done = pack_into(rs, ctx, msg, msg.packed_ivs.iter().copied(), lo, hi, dst);
     msg.pack_chain_running = true;
     ctx.cpu_event(
         done,
@@ -2932,75 +2622,67 @@ fn start_pack_chain(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg
     );
 }
 
-/// Packs the next segment of the Hybrid packed substream: gathers the
-/// small-block stream intervals covering `[k*S, (k+1)*S)` of the
-/// substream into a pool buffer.
-fn hybrid_pack_next(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    let Some(hy) = msg.hybrid.as_ref() else {
-        return; // partition unknown until the reply arrives
-    };
-    if msg.pack_bufs.is_empty() {
-        return; // buffers assigned when direct writes go out
-    }
-    let k = msg.packed;
-    let packed_bytes: u64 = hy.packed_intervals.iter().map(|&(a, b)| b - a).sum();
-    let lo = k as u64 * msg.seg_size;
-    let hi = (lo + msg.seg_size).min(packed_bytes);
-    let stream_ivs = substream_to_stream(&hy.packed_intervals, lo, hi);
+/// Packs range `[lo, hi)` of the substream formed by the stream
+/// intervals `ivs` from the user buffer into the staging buffer at
+/// `dst` (functional now), charging the copy; returns its finish time.
+fn pack_into(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &SendMsg,
+    ivs: impl IntoIterator<Item = (u64, u64)>,
+    lo: u64,
+    hi: u64,
+    dst: Va,
+) -> Time {
+    let rank = rs.rank;
     let plan = rs.plan_for(&msg.ty, msg.count);
     let mut data = rs.scratch.take_bytes((hi - lo) as usize);
-    let mut cursor = 0usize;
-    let mut blocks = 0usize;
-    for &(a, b) in &stream_ivs {
+    let (mut cursor, mut blocks) = (0usize, 0usize);
+    for_each_substream_piece(ivs, lo, hi, |a, b| {
         let n = (b - a) as usize;
-        pack_range(
-            ctx,
-            rs.rank,
-            &plan,
-            msg.buf,
-            a,
-            b,
-            &mut data[cursor..cursor + n],
-        );
+        let out = &mut data[cursor..cursor + n];
+        pack_range(ctx, rank, &plan, msg.buf, a, b, out);
         cursor += n;
-        let (nb, _) = plan.block_count_in(a, b).expect("range valid");
-        blocks += nb;
-    }
+        blocks += plan.block_count_in(a, b).expect("range valid").0;
+    });
     debug_assert_eq!(cursor as u64, hi - lo);
-    ctx.mems[rs.rank as usize]
+    ctx.mems[rank as usize]
         .space
-        .write(msg.pack_bufs[k as usize].va, &data)
+        .write(dst, &data)
         .expect("pack buffer writable");
     rs.scratch.put_bytes(data);
-    let buf = msg.buf;
-    let done = charge_copy(rs, ctx, buf, blocks, hi - lo, false, "pack");
-    msg.pack_chain_running = true;
-    ctx.cpu_event(
-        done,
-        rs.rank,
-        CpuAct::PackSeg {
-            peer: msg.peer,
-            seq: msg.seq,
-            k,
-        },
-    );
+    charge_copy(rs, ctx, msg.buf, blocks, hi - lo, false, "pack")
 }
 
+/// Bytes segment `k` carries: its share of the packed substream.
 fn seg_len(msg: &SendMsg, k: u32) -> u64 {
     let lo = k as u64 * msg.seg_size;
-    ((lo + msg.seg_size).min(msg.size)) - lo
+    (lo + msg.seg_size).min(ivs_bytes(&msg.packed_ivs)) - lo
+}
+
+/// Hybrid's direct part: the `(stream lo, stream hi, destination va)`
+/// intervals and the receiver regions covering them (empty for every
+/// other scheme).
+fn direct_part(msg: &SendMsg) -> (&[(u64, u64, Va)], &[Region]) {
+    match &msg.targets {
+        Some(SendTargets::Hybrid {
+            direct, regions, ..
+        }) => (direct, regions),
+        _ => (&[], &[]),
+    }
+}
+
+/// Receiver unpack buffer `(addr, rkey)` of segment `k`, read by value
+/// so the target list is not cloned per post.
+fn seg_target(msg: &SendMsg, k: u32) -> (Va, u32) {
+    match &msg.targets {
+        Some(SendTargets::Segments(s) | SendTargets::Hybrid { segs: s, .. }) => s[k as usize],
+        _ => unreachable!("segment schemes carry segment targets"),
+    }
 }
 
 /// Posts whatever data the current state allows.
 fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    // Reads one `(addr, rkey)` segment target by value; avoids cloning
-    // the whole target list per call just to appease the borrow checker.
-    fn seg_target(msg: &SendMsg, k: u32) -> (Va, u32) {
-        match &msg.targets {
-            Some(SendTargets::Segments(s)) => s[k as usize],
-            _ => unreachable!("segment schemes carry segment targets"),
-        }
-    }
     match (&msg.targets, msg.scheme) {
         (None, _) => {}
         (Some(SendTargets::Buffer { addr, rkey }), Scheme::Generic) => {
@@ -3009,9 +2691,6 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
                 // segment — Generic uses a single whole-size buffer).
                 debug_assert_eq!(msg.nsegs, 1, "Generic packs whole messages");
                 let sb = msg.pack_bufs[0];
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
                 let wr = SendWr {
                     wr_id: WR_DATA | msg.seq,
                     opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, 0)),
@@ -3023,49 +2702,13 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
                     remote: Some((*addr, *rkey)),
                     signaled: true,
                 };
-                rs.counters.data_wrs += 1;
-                if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
+                if post_one(rs, ctx, msg, wr) {
+                    msg.posted_segs = 1;
                 }
-                msg.posted_segs = 1;
             }
         }
         (Some(SendTargets::Segments(_)), Scheme::BcSpup) => {
-            while msg.posted_segs < msg.packed {
-                let k = msg.posted_segs;
-                let (dst, dst_rkey) = seg_target(msg, k);
-                let sb = msg.pack_bufs[k as usize];
-                let len = seg_len(msg, k);
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                let wr = SendWr {
-                    wr_id: WR_DATA | msg.seq,
-                    opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, k)),
-                    sges: SgeList::of(Sge {
-                        addr: sb.va,
-                        len,
-                        lkey: sb.lkey,
-                    }),
-                    remote: Some((dst, dst_rkey)),
-                    signaled: k == msg.nsegs - 1,
-                };
-                rs.counters.data_wrs += 1;
-                if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
-                }
-                msg.posted_segs += 1;
-            }
+            post_packed_segs(rs, ctx, msg);
         }
         (Some(SendTargets::Segments(_)), Scheme::RwgUp) => {
             // Resume-aware: after a connection recovery `posted_segs`
@@ -3075,58 +2718,20 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
                 return;
             }
             let plan = rs.plan_for(&msg.ty, msg.count);
-            let mbuf = msg.buf;
-            let mut blocks = rs.scratch.take_blocks();
+            let mut wrs = Vec::new();
             for k in msg.posted_segs..msg.nsegs {
-                let (seg_dst, seg_rkey) = seg_target(msg, k);
+                let (dst, rkey) = seg_target(msg, k);
                 let lo = k as u64 * msg.seg_size;
-                let hi = (lo + msg.seg_size).min(msg.size);
-                blocks.clear();
-                plan.for_each_block(lo, hi, |off, l| {
-                    blocks.push(((mbuf as i64 + off) as u64, l));
-                })
-                .expect("range valid");
-                let chunks = chunk_gather(&blocks, ctx.net.max_sge);
-                let nchunks = chunks.len();
-                let mut dst_off = 0u64;
-                for (ci, (raw_sges, clen)) in chunks.into_iter().enumerate() {
-                    let sges = raw_sges
-                        .into_iter()
-                        .map(|(a, l)| Sge {
-                            addr: a,
-                            len: l,
-                            lkey: lkey_for(&msg.user_regs, a, l),
-                        })
-                        .collect();
-                    let last_chunk = ci == nchunks - 1;
-                    let wr = SendWr {
-                        wr_id: WR_DATA | msg.seq,
-                        opcode: if last_chunk {
-                            Opcode::RdmaWriteImm(imm_of(msg.seq, k))
-                        } else {
-                            Opcode::RdmaWrite
-                        },
-                        sges,
-                        remote: Some((seg_dst + dst_off, seg_rkey)),
-                        signaled: last_chunk && k == msg.nsegs - 1,
-                    };
-                    dst_off += clen;
-                    rs.counters.data_wrs += 1;
-                    let ready = rs
-                        .cpu
-                        .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                    if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                        rs.counters.post_errors += 1;
-                        msg.failed = Some(MpiError::Post {
-                            peer: msg.peer,
-                            err: e,
-                        });
-                        return;
-                    }
+                let range = (lo, lo + seg_len(msg, k));
+                push_gather_writes(ctx.net, &plan, msg, range, dst, |_, _| rkey, &mut wrs);
+                if let Some(last) = wrs.last_mut() {
+                    last.opcode = Opcode::RdmaWriteImm(imm_of(msg.seq, k));
+                    last.signaled = k == msg.nsegs - 1;
                 }
             }
-            rs.scratch.put_blocks(blocks);
-            msg.posted_segs = msg.nsegs;
+            if post_wrs(rs, ctx, msg, wrs, false) {
+                msg.posted_segs = msg.nsegs;
+            }
         }
         (Some(SendTargets::ReadGo), Scheme::PRrs) if msg.contig => {
             // Announce segments pointing directly into the registered
@@ -3182,66 +2787,18 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
             if msg.packed < msg.nsegs || msg.posted_segs > 0 {
                 return;
             }
-            let mut wrs: Vec<SendWr> = Vec::new();
-            let mut pos = 0u64;
-            for &(dst, l) in rcv_blocks {
-                let mut off = 0u64;
-                while off < l {
-                    let k = ((pos + off) / msg.seg_size) as usize;
-                    let sb = msg.pack_bufs[k];
-                    let in_seg = (pos + off) - k as u64 * msg.seg_size;
-                    let n = (l - off).min(msg.seg_size - in_seg);
-                    let rkey = region_key(regions, dst + off, n);
-                    wrs.push(SendWr {
-                        wr_id: WR_DATA | msg.seq,
-                        opcode: Opcode::RdmaWrite,
-                        sges: SgeList::of(Sge {
-                            addr: sb.va + in_seg,
-                            len: n,
-                            lkey: sb.lkey,
-                        }),
-                        remote: Some((dst + off, rkey)),
-                        signaled: false,
-                    });
-                    off += n;
-                }
-                pos += l;
+            let mut wrs = Vec::new();
+            push_staged_writes(
+                msg,
+                &msg.pack_bufs,
+                msg.seg_size,
+                rcv_blocks.iter().copied(),
+                regions,
+                &mut wrs,
+            );
+            if post_wrs(rs, ctx, msg, with_imm_last(wrs, msg.seq), ctx.cfg.list_post) {
+                msg.posted_segs = msg.nsegs;
             }
-            if let Some(last) = wrs.last_mut() {
-                last.opcode = Opcode::RdmaWriteImm(imm_of(msg.seq, 0));
-                last.signaled = true;
-            }
-            let n = wrs.len();
-            assert!(n > 0, "rendezvous messages are never empty");
-            rs.counters.data_wrs += n as u64;
-            if ctx.cfg.list_post {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
-                if let Err(e) = ctx.post_send_list(ready, rs.rank, msg.peer, wrs) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
-                }
-            } else {
-                for wr in wrs {
-                    let ready = rs
-                        .cpu
-                        .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                    if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                        rs.counters.post_errors += 1;
-                        msg.failed = Some(MpiError::Post {
-                            peer: msg.peer,
-                            err: e,
-                        });
-                        return;
-                    }
-                }
-            }
-            msg.posted_segs = msg.nsegs;
         }
         (
             Some(SendTargets::MultiW {
@@ -3258,13 +2815,12 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
             abs_blocks_into(&tplan, msg.buf, &mut snd_blocks);
             let plan = plan_multi_w(&snd_blocks, rcv_blocks, ctx.net.max_sge);
             rs.scratch.put_blocks(snd_blocks);
-            let n = plan.len();
-            assert!(n > 0, "rendezvous messages are never empty");
-            let wrs: Vec<SendWr> = plan
+            let wrs = plan
                 .into_iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let sges = p
+                .map(|p| SendWr {
+                    wr_id: WR_DATA | msg.seq,
+                    opcode: Opcode::RdmaWrite,
+                    sges: p
                         .sges
                         .iter()
                         .map(|&(a, l)| Sge {
@@ -3272,54 +2828,26 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
                             len: l,
                             lkey: lkey_for(&msg.user_regs, a, l),
                         })
-                        .collect();
-                    let rkey = region_key(regions, p.dst, p.len);
-                    let last = i == n - 1;
-                    SendWr {
-                        wr_id: WR_DATA | msg.seq,
-                        opcode: if last {
-                            Opcode::RdmaWriteImm(imm_of(msg.seq, 0))
-                        } else {
-                            Opcode::RdmaWrite
-                        },
-                        sges,
-                        remote: Some((p.dst, rkey)),
-                        signaled: last,
-                    }
+                        .collect(),
+                    remote: Some((p.dst, region_key(regions, p.dst, p.len))),
+                    signaled: false,
                 })
                 .collect();
-            rs.counters.data_wrs += n as u64;
-            if ctx.cfg.list_post {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
-                if let Err(e) = ctx.post_send_list(ready, rs.rank, msg.peer, wrs) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    return;
-                }
-            } else {
-                for wr in wrs {
-                    let ready = rs
-                        .cpu
-                        .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                    if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                        rs.counters.post_errors += 1;
-                        msg.failed = Some(MpiError::Post {
-                            peer: msg.peer,
-                            err: e,
-                        });
-                        return;
-                    }
-                }
+            if post_wrs(rs, ctx, msg, with_imm_last(wrs, msg.seq), ctx.cfg.list_post) {
+                msg.posted_segs = msg.nsegs;
             }
-            msg.posted_segs = msg.nsegs;
         }
-        (Some(SendTargets::HybridReady), Scheme::Hybrid) => {
-            hybrid_try_post(rs, ctx, msg);
+        (Some(SendTargets::Hybrid { .. }), Scheme::Hybrid) => {
+            // Multi-W-style direct writes once registration is done,
+            // then the packed segments as BC-SPUP posts them, then the
+            // completion marker; each step stops the walk on failure.
+            if msg.reg_done
+                && post_direct(rs, ctx, msg)
+                && post_packed_segs(rs, ctx, msg)
+                && post_marker(rs, ctx, msg)
+            {
+                start_pack_chain(rs, ctx, msg);
+            }
         }
         (Some(t), s) => {
             debug_assert!(false, "targets {t:?} inconsistent with scheme {s:?}");
@@ -3331,259 +2859,360 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
     }
 }
 
-/// Hybrid posting: direct gather writes once registration is done, then
-/// packed segments as they become ready, then the completion marker.
-fn hybrid_try_post(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    if !msg.reg_done {
-        return;
-    }
-    let Some(mut hy) = msg.hybrid.take() else {
-        return;
-    };
-    if !hy.direct_posted {
-        hy.direct_posted = true;
-        let plan = rs.plan_for(&msg.ty, msg.count);
-        let mbuf = msg.buf;
-        let mut wrs: Vec<SendWr> = Vec::new();
-        let mut blocks = rs.scratch.take_blocks();
-        for &(lo, hi, dst) in &hy.direct {
-            blocks.clear();
-            plan.for_each_block(lo, hi, |off, l| {
-                blocks.push(((mbuf as i64 + off) as u64, l));
-            })
-            .expect("range valid");
-            let chunks = chunk_gather(&blocks, ctx.net.max_sge);
-            let mut dst_off = 0u64;
-            for (raw_sges, clen) in chunks {
-                let sges = raw_sges
-                    .into_iter()
-                    .map(|(a, l)| Sge {
-                        addr: a,
-                        len: l,
-                        lkey: lkey_for(&msg.user_regs, a, l),
-                    })
-                    .collect();
-                let rkey = region_key(&hy.regions, dst + dst_off, clen);
-                wrs.push(SendWr {
-                    wr_id: WR_DATA | msg.seq,
-                    opcode: Opcode::RdmaWrite,
-                    sges,
-                    remote: Some((dst + dst_off, rkey)),
-                    signaled: false,
-                });
-                dst_off += clen;
-            }
-        }
-        rs.scratch.put_blocks(blocks);
-        rs.counters.data_wrs += wrs.len() as u64;
-        if ctx.cfg.list_post {
-            let n = wrs.len();
-            if n > 0 {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
-                if let Err(e) = ctx.post_send_list(ready, rs.rank, msg.peer, wrs) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    msg.hybrid = Some(hy);
-                    return;
-                }
-            }
-        } else {
-            for wr in wrs {
-                let ready = rs
-                    .cpu
-                    .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-                if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-                    rs.counters.post_errors += 1;
-                    msg.failed = Some(MpiError::Post {
-                        peer: msg.peer,
-                        err: e,
-                    });
-                    msg.hybrid = Some(hy);
-                    return;
-                }
-            }
-        }
-        // Kick off packing of the small-block substream (if any).
-        if msg.nsegs > 0 && msg.pack_bufs.is_empty() {
-            for _ in 0..msg.nsegs {
-                let sb = acquire_pack_seg(rs, ctx);
-                msg.pack_bufs.push(sb);
-            }
-        }
-    }
-    // Post packed segments that are ready, in order.
-    let packed_bytes: u64 = hy.packed_intervals.iter().map(|&(a, b)| b - a).sum();
+/// Posts the packed segments that are ready, in order: segment `k`'s
+/// pack buffer is written into the receiver's unpack buffer `k`,
+/// announced by its immediate (BC-SPUP, §4.2, and Hybrid's packed
+/// part). BC-SPUP signals its last segment; Hybrid's marker completes
+/// the send instead. Returns `false` when a post failed.
+fn post_packed_segs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
     while msg.posted_segs < msg.packed {
         let k = msg.posted_segs;
-        let lo = k as u64 * msg.seg_size;
-        let hi = (lo + msg.seg_size).min(packed_bytes);
+        let (dst, rkey) = seg_target(msg, k);
         let sb = msg.pack_bufs[k as usize];
-        let ready = rs
-            .cpu
-            .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
         let wr = SendWr {
             wr_id: WR_DATA | msg.seq,
             opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, k)),
             sges: SgeList::of(Sge {
                 addr: sb.va,
-                len: hi - lo,
+                len: seg_len(msg, k),
                 lkey: sb.lkey,
             }),
-            remote: Some((hy.segs[k as usize].0, hy.segs[k as usize].1)),
-            signaled: false,
+            remote: Some((dst, rkey)),
+            signaled: msg.scheme != Scheme::Hybrid && k == msg.nsegs - 1,
         };
-        rs.counters.data_wrs += 1;
-        if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
-            rs.counters.post_errors += 1;
-            msg.failed = Some(MpiError::Post {
-                peer: msg.peer,
-                err: e,
-            });
-            msg.hybrid = Some(hy);
-            return;
+        if !post_one(rs, ctx, msg, wr) {
+            return false;
         }
         msg.posted_segs += 1;
     }
-    // Everything out: send the completion marker (ordered last on the
-    // QP, so its arrival implies all data landed).
-    if !hy.marker_posted && msg.posted_segs == msg.nsegs {
-        hy.marker_posted = true;
-        let (maddr, mrkey) = if let Some(&(a, k)) = hy.segs.first() {
-            (a, k)
-        } else if let Some(&(a, _, k)) = hy.regions.first() {
-            (a, k)
-        } else {
-            // A rendezvous message always has a target; fail typed
-            // rather than panicking on the protocol violation.
-            debug_assert!(false, "non-empty message has no hybrid target");
-            msg.failed = Some(MpiError::UnknownMessage {
-                peer: msg.peer,
-                seq: msg.seq,
+    true
+}
+
+/// Hybrid: posts the direct part once — RWG-UP gather writes from the
+/// pinned user buffer, or, when the pinning budget refused the sender
+/// (`mw_stage`), Multi-W-style writes out of a staging copy — then
+/// assigns the packed part's buffers, which starts its pack chain.
+/// Returns `false` when a post failed.
+fn post_direct(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
+    if msg.direct_posted {
+        return true;
+    }
+    msg.direct_posted = true;
+    let stage = msg.mw_stage.then(|| stage_direct(rs, ctx, msg));
+    let plan = rs.plan_for(&msg.ty, msg.count);
+    let (direct, regions) = direct_part(msg);
+    let mut wrs = Vec::new();
+    match stage {
+        Some(sb) => {
+            let dsts = direct.iter().map(|&(lo, hi, dst)| (dst, hi - lo));
+            push_staged_writes(msg, &[sb], sb.len, dsts, regions, &mut wrs);
+        }
+        None => {
+            for &(lo, hi, dst) in direct {
+                let rkey = |a, l| region_key(regions, a, l);
+                push_gather_writes(ctx.net, &plan, msg, (lo, hi), dst, rkey, &mut wrs);
+            }
+        }
+    }
+    if !post_wrs(rs, ctx, msg, wrs, ctx.cfg.list_post) {
+        return false;
+    }
+    if msg.pack_bufs.is_empty() {
+        start_packing(rs, ctx, msg);
+    }
+    true
+}
+
+/// Hybrid under a refused sender top-up: packs the direct intervals into
+/// one staging buffer, kept after the packed part's buffers, and returns
+/// it (a recovery re-drive reuses the copy already made).
+fn stage_direct(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> StageBuf {
+    if msg.pack_bufs.is_empty() {
+        start_packing(rs, ctx, msg);
+    }
+    if let Some(&sb) = msg.pack_bufs.get(msg.nsegs as usize) {
+        return sb;
+    }
+    let ivs = direct_part(msg).0.iter().map(|&(lo, hi, _)| (lo, hi));
+    let bytes = ivs.clone().map(|(lo, hi)| hi - lo).sum();
+    let sb = acquire_stage(rs, ctx, bytes);
+    pack_into(rs, ctx, msg, ivs, 0, bytes, sb.va);
+    msg.pack_bufs.push(sb);
+    sb
+}
+
+/// Hybrid: once every packed segment is out, posts the completion
+/// marker — ordered last on the QP, so its arrival implies all data
+/// landed. Returns `false` when the post failed.
+fn post_marker(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) -> bool {
+    if msg.marker_posted || msg.posted_segs < msg.nsegs {
+        return true;
+    }
+    msg.marker_posted = true;
+    let target = match &msg.targets {
+        Some(SendTargets::Hybrid { segs, regions, .. }) => segs
+            .first()
+            .copied()
+            .or_else(|| regions.first().map(|&(a, _, k)| (a, k))),
+        _ => None,
+    };
+    let Some(remote) = target else {
+        // A rendezvous message always has a target; fail typed
+        // rather than panicking on the protocol violation.
+        debug_assert!(false, "non-empty message has no hybrid target");
+        msg.failed = Some(MpiError::UnknownMessage {
+            peer: msg.peer,
+            seq: msg.seq,
+        });
+        return false;
+    };
+    let wr = SendWr {
+        wr_id: WR_DATA | msg.seq,
+        opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, MARKER_K)),
+        sges: SgeList::new(),
+        remote: Some(remote),
+        signaled: true,
+    };
+    post_one(rs, ctx, msg, wr)
+}
+
+/// Appends RWG-UP gather writes (§5.1) moving stream range `range` of
+/// the pinned user buffer to the contiguous remote range at `dst`, keyed
+/// by `rkey(addr, len)`.
+fn push_gather_writes(
+    net: &NetConfig,
+    plan: &TransferPlan,
+    msg: &SendMsg,
+    range: (u64, u64),
+    dst: Va,
+    rkey: impl Fn(Va, u64) -> u32,
+    out: &mut Vec<SendWr>,
+) {
+    for_each_gather(
+        net,
+        plan,
+        msg.buf,
+        &msg.user_regs,
+        range,
+        |sges, at, len| {
+            out.push(SendWr {
+                wr_id: WR_DATA | msg.seq,
+                opcode: Opcode::RdmaWrite,
+                sges,
+                remote: Some((dst + at, rkey(dst + at, len))),
+                signaled: false,
+            })
+        },
+    );
+}
+
+/// Walks stream range `[lo, hi)` of the registered user buffer at `buf`
+/// as gather/scatter lists of at most `max_sge` blocks, calling
+/// `f(sges, at, len)` per list — `at` is the list's offset within the
+/// range and `len` its byte count.
+fn for_each_gather(
+    net: &NetConfig,
+    plan: &TransferPlan,
+    buf: Va,
+    regs: &[Registration],
+    (lo, hi): (u64, u64),
+    mut f: impl FnMut(SgeList, u64, u64),
+) {
+    let (mut sges, mut at, mut len) = (SgeList::new(), 0u64, 0u64);
+    plan.for_each_block(lo, hi, |off, l| {
+        let addr = (buf as i64 + off) as u64;
+        let lkey = lkey_for(regs, addr, l);
+        sges.push(Sge { addr, len: l, lkey });
+        len += l;
+        if sges.len() == net.max_sge {
+            f(std::mem::take(&mut sges), at, len);
+            (at, len) = (at + len, 0);
+        }
+    })
+    .expect("range valid");
+    if !sges.is_empty() {
+        f(sges, at, len);
+    }
+}
+
+/// Appends unsignaled writes streaming a staged packed image — `stage`
+/// buffers of `seg_size` bytes each, read from the start — into the
+/// destination blocks `dsts` in stream order, one write per piece that
+/// stays inside one staging buffer (Multi-W's degraded mode).
+fn push_staged_writes(
+    msg: &SendMsg,
+    stage: &[StageBuf],
+    seg_size: u64,
+    dsts: impl IntoIterator<Item = (Va, u64)>,
+    regions: &[Region],
+    out: &mut Vec<SendWr>,
+) {
+    let mut pos = 0u64;
+    for (dst, l) in dsts {
+        let mut off = 0u64;
+        while off < l {
+            let k = ((pos + off) / seg_size) as usize;
+            let sb = stage[k];
+            let in_seg = (pos + off) - k as u64 * seg_size;
+            let n = (l - off).min(seg_size - in_seg);
+            out.push(SendWr {
+                wr_id: WR_DATA | msg.seq,
+                opcode: Opcode::RdmaWrite,
+                sges: SgeList::of(Sge {
+                    addr: sb.va + in_seg,
+                    len: n,
+                    lkey: sb.lkey,
+                }),
+                remote: Some((dst + off, region_key(regions, dst + off, n))),
+                signaled: false,
             });
-            msg.hybrid = Some(hy);
-            return;
-        };
-        let ready = rs
-            .cpu
-            .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
-        let wr = SendWr {
-            wr_id: WR_DATA | msg.seq,
-            opcode: Opcode::RdmaWriteImm(imm_of(msg.seq, MARKER_K)),
-            sges: SgeList::new(),
-            remote: Some((maddr, mrkey)),
-            signaled: true,
-        };
-        rs.counters.data_wrs += 1;
-        if let Err(e) = ctx.post_send(ready, rs.rank, msg.peer, wr) {
+            off += n;
+        }
+        pos += l;
+    }
+}
+
+/// Turns the last of a message's writes into the signaled write whose
+/// immediate announces completion to the receiver (Multi-W).
+fn with_imm_last(mut wrs: Vec<SendWr>, seq: u64) -> Vec<SendWr> {
+    let last = wrs.last_mut().expect("rendezvous messages are never empty");
+    last.opcode = Opcode::RdmaWriteImm(imm_of(seq, 0));
+    last.signaled = true;
+    wrs
+}
+
+/// Posts one data work request after `post_single_ns` of CPU. A refused
+/// post is recorded in `msg.failed` for the caller of
+/// [`try_post_ready`] to resolve; returns `false` then.
+fn post_one(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg, wr: SendWr) -> bool {
+    let ready = rs
+        .cpu
+        .reserve_labeled(ctx.now(), ctx.net.post_single_ns, "post");
+    rs.counters.data_wrs += 1;
+    let res = ctx.post_send(ready, rs.rank, msg.peer, wr);
+    post_settled(rs, msg, res)
+}
+
+/// Posts `wrs` in order: as one doorbell list when `list` (§7.4,
+/// Fig. 13), else one post each. Returns `false` when a post failed
+/// (recorded in `msg.failed`).
+fn post_wrs(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    msg: &mut SendMsg,
+    wrs: Vec<SendWr>,
+    list: bool,
+) -> bool {
+    if !list || wrs.is_empty() {
+        return wrs.into_iter().all(|wr| post_one(rs, ctx, msg, wr));
+    }
+    let n = wrs.len();
+    rs.counters.data_wrs += n as u64;
+    let ready = rs
+        .cpu
+        .reserve_labeled(ctx.now(), ctx.net.post_list_ns(n), "post");
+    let res = ctx.post_send_list(ready, rs.rank, msg.peer, wrs);
+    post_settled(rs, msg, res)
+}
+
+/// The failure arm shared by every data post: count the error and park
+/// it in `msg.failed`.
+fn post_settled(rs: &mut RankState, msg: &mut SendMsg, res: Result<(), PostError>) -> bool {
+    match res {
+        Ok(()) => true,
+        Err(err) => {
             rs.counters.post_errors += 1;
             msg.failed = Some(MpiError::Post {
                 peer: msg.peer,
-                err: e,
+                err,
             });
-            msg.hybrid = Some(hy);
-            return;
+            false
         }
     }
-    msg.hybrid = Some(hy);
-    // Keep the packed-substream pack chain moving (it posts each
-    // segment back through here as it completes).
-    start_pack_chain(rs, ctx, msg);
 }
 
-/// Local completion of the (last) data WR of a rendezvous send.
-fn sender_data_done(
+/// The send's data duty is done: the last data WR completed locally,
+/// or (`fin`, P-RRS) the receiver reports it read everything.
+fn sender_done(
     rs: &mut RankState,
     am: &mut ActiveMsgs,
     ctx: &mut Ctx<'_, '_>,
     peer: u32,
     seq: u64,
+    fin: bool,
 ) {
-    let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-        return;
-    };
-    debug_assert!(!msg.completed);
-    msg.completed = true;
-    sender_release(rs, ctx, &mut msg);
-    rs.complete_req(msg.req);
-}
-
-/// P-RRS completion: the receiver has read everything.
-fn sender_on_fin(
-    rs: &mut RankState,
-    am: &mut ActiveMsgs,
-    ctx: &mut Ctx<'_, '_>,
-    peer: u32,
-    seq: u64,
-) {
-    let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-        // The send was already aborted; the Fin is a stale straggler.
-        if !ctx.fabric.faults_active() {
+    let Some(msg) = am.sends.remove(&(peer, seq)) else {
+        // The send was already aborted; a Fin is then a stale straggler.
+        if fin && !ctx.fabric.faults_active() {
             rs.errors.push(MpiError::UnknownMessage { peer, seq });
         }
         return;
     };
     debug_assert!(!msg.completed);
+    sender_complete(rs, ctx, msg);
+}
+
+/// Completes a send whose data was delivered.
+fn sender_complete(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, mut msg: SendMsg) {
     msg.completed = true;
     sender_release(rs, ctx, &mut msg);
     rs.complete_req(msg.req);
 }
 
-fn sender_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
-    release_stage_bufs(rs, ctx, &msg.pack_bufs, false);
-    let mut bufs = std::mem::take(&mut msg.pack_bufs);
-    bufs.clear();
-    rs.scratch.put_stage(bufs);
-    let mut cost = 0;
-    for r in &msg.user_regs {
-        // A `BadKey` means the pin-down cache force-evicted the region
-        // under the transfer (§5.4.2) — already deregistered.
-        if let Ok(c) =
-            rs.pindown
-                .release(&mut ctx.mems[rs.rank as usize].regs, &ctx.host.reg, r.lkey)
-        {
-            cost += c;
+/// Posts what `msg`'s state allows. A recorded post failure hands the
+/// message to [`resolve_send_failure`] and yields `None`; otherwise the
+/// caller gets it back to park in the table.
+fn post_ready(
+    rs: &mut RankState,
+    am: &mut ActiveMsgs,
+    ctx: &mut Ctx<'_, '_>,
+    mut msg: SendMsg,
+) -> Option<SendMsg> {
+    try_post_ready(rs, ctx, &mut msg);
+    match msg.failed.take() {
+        Some(err) => {
+            resolve_send_failure(rs, am, ctx, msg, err);
+            None
         }
+        None => Some(msg),
     }
-    msg.user_regs.clear();
-    if cost > 0 {
-        rs.cpu.reserve_labeled(ctx.now(), cost, "dereg");
+}
+
+/// P-RRS recovery: re-announce every packed segment; the recovering
+/// receiver deduplicates and re-reads idempotently.
+fn reannounce(rs: &mut RankState, am: &mut ActiveMsgs, ctx: &mut Ctx<'_, '_>, peer: u32, seq: u64) {
+    let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
+        return;
+    };
+    msg.posted_segs = 0;
+    if let Some(msg) = post_ready(rs, am, ctx, msg) {
+        am.sends.insert((peer, seq), msg);
     }
-    rs.pinned_user_bytes = rs.pinned_user_bytes.saturating_sub(msg.pinned_bytes);
-    msg.pinned_bytes = 0;
+}
+
+fn sender_release(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) {
+    release_stage_bufs(rs, ctx, &mut msg.pack_bufs, false);
+    release_user_regs(rs, ctx, &mut msg.user_regs, &mut msg.pinned_bytes);
 }
 
 // ---------------------------------------------------------------------
 // Staging buffers (pool with dynamic fallback, §4.3.3)
 // ---------------------------------------------------------------------
 
-fn acquire_pack_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) -> StageBuf {
-    match rs.pack_pool.acquire() {
+/// One segment buffer from the pre-registered unpack or pack pool,
+/// or a dynamic one when the pool is exhausted.
+fn acquire_pool_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, unpack: bool) -> StageBuf {
+    let pool = if unpack {
+        &mut rs.unpack_pool
+    } else {
+        &mut rs.pack_pool
+    };
+    match pool.acquire() {
         Some(va) => StageBuf {
             va,
-            len: rs.pack_pool.seg_size(),
-            lkey: rs.pack_pool.lkey(),
-            rkey: rs.pack_pool.rkey(),
-            dynamic: false,
-        },
-        None => {
-            rs.counters.pool_fallbacks += 1;
-            acquire_stage(rs, ctx, ctx.cfg.max_seg_size)
-        }
-    }
-}
-
-fn acquire_unpack_seg(rs: &mut RankState, ctx: &mut Ctx<'_, '_>) -> StageBuf {
-    match rs.unpack_pool.acquire() {
-        Some(va) => StageBuf {
-            va,
-            len: rs.unpack_pool.seg_size(),
-            lkey: rs.unpack_pool.lkey(),
-            rkey: rs.unpack_pool.rkey(),
+            len: pool.seg_size(),
+            lkey: pool.lkey(),
+            rkey: pool.rkey(),
             dynamic: false,
         },
         None => {
@@ -3638,9 +3267,17 @@ fn acquire_stage(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, size: u64) -> StageB
     }
 }
 
-fn release_stage_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, bufs: &[StageBuf], unpack: bool) {
+/// Returns a message's staging buffers (pool segments, or dynamic
+/// buffers with their free + deregistration charge) and hands the
+/// emptied list back to the scratch pool.
+fn release_stage_bufs(
+    rs: &mut RankState,
+    ctx: &mut Ctx<'_, '_>,
+    bufs: &mut Vec<StageBuf>,
+    unpack: bool,
+) {
     let mut cost = 0;
-    for sb in bufs {
+    for sb in bufs.iter() {
         if sb.dynamic {
             cost += ctx.host.free_ns;
             if ctx.cfg.reuse_internal_bufs {
@@ -3668,6 +3305,9 @@ fn release_stage_bufs(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, bufs: &[StageBu
     if cost > 0 {
         rs.cpu.reserve_labeled(ctx.now(), cost, "free");
     }
+    let mut bufs = std::mem::take(bufs);
+    bufs.clear();
+    rs.scratch.put_stage(bufs);
 }
 
 // ---------------------------------------------------------------------
@@ -3698,7 +3338,7 @@ fn lkey_for(regs: &[Registration], addr: Va, len: u64) -> u32 {
 
 /// Remote key covering the range; the sentinel key fails the
 /// responder's rkey check with a typed remote-access completion.
-fn region_key(regions: &[(Va, u64, u32)], addr: Va, len: u64) -> u32 {
+fn region_key(regions: &[Region], addr: Va, len: u64) -> u32 {
     regions
         .iter()
         .find(|&&(a, l, _)| addr >= a && addr + len <= a + l)
@@ -3869,6 +3509,21 @@ fn ensure_reconnect(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32) -> boo
     true
 }
 
+/// Settles a refused control-path post toward `peer`: `true` when the
+/// connection manager took the traffic over (a dead QP; the caller
+/// parks it for the reconnect re-drive), `false` after counting the
+/// post error.
+fn post_suspends(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, e: PostError) -> bool {
+    if ctx.cfg.recovery
+        && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
+        && ensure_reconnect(rs, ctx, peer)
+    {
+        return true;
+    }
+    rs.counters.post_errors += 1;
+    false
+}
+
 /// Routes a failed send either into the connection manager (suspended,
 /// re-driven after reconnect) or into a typed abort.
 fn resolve_send_failure(
@@ -3983,22 +3638,8 @@ fn resend_eager_slot(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: V
         ctx.cfg.ctrl_overhead_ns + ctx.net.post_single_ns,
         "ctrl",
     );
-    let wr = SendWr {
-        wr_id: WR_EAGER | va,
-        opcode: Opcode::Send,
-        sges: SgeList::of(Sge {
-            addr: va,
-            len,
-            lkey: rs.eager_lkey,
-        }),
-        remote: None,
-        signaled: true,
-    };
-    if let Err(e) = ctx.post_send(ready, rs.rank, peer, wr) {
-        if ctx.cfg.recovery
-            && matches!(e, PostError::QpError { .. } | PostError::QpNotReady { .. })
-            && ensure_reconnect(rs, ctx, peer)
-        {
+    if let Err(e) = post_slot(rs, ctx, ready, peer, va, len) {
+        if post_suspends(rs, ctx, peer, e) {
             rs.reconn
                 .get_mut(&peer)
                 .expect("entry ensured above")
@@ -4007,7 +3648,6 @@ fn resend_eager_slot(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, peer: u32, va: V
             return;
         }
         rs.eager_send_free.push(va);
-        rs.counters.post_errors += 1;
         rs.errors.push(MpiError::Post { peer, err: e });
     }
 }
@@ -4034,20 +3674,7 @@ fn resume_send(
             // failure.
             send_ctrl_msg(rs, ctx, peer, &CtrlMsg::RndvProbe { seq }, 0);
         }
-        Some(SendTargets::ReadGo) => {
-            // P-RRS: re-announce every packed segment; the recovering
-            // receiver deduplicates and re-reads idempotently.
-            let Some(mut msg) = am.sends.remove(&(peer, seq)) else {
-                return;
-            };
-            msg.posted_segs = 0;
-            try_post_ready(rs, ctx, &mut msg);
-            if let Some(err) = msg.failed.take() {
-                resolve_send_failure(rs, am, ctx, msg, err);
-                return;
-            }
-            am.sends.insert((peer, seq), msg);
-        }
+        Some(SendTargets::ReadGo) => reannounce(rs, am, ctx, peer, seq),
         Some(_) => {
             // Data-bearing schemes restart from the receiver's
             // acknowledged chunk boundary — ask where that is.
@@ -4096,13 +3723,12 @@ fn renegotiate_send(
     // Tear down the zero-copy generation: registrations, staging, and
     // any pack pipeline still in flight.
     sender_release(rs, ctx, &mut msg);
-    msg.pack_bufs.clear();
     if msg.pack_chain_running {
         msg.drop_packs += 1;
         msg.pack_chain_running = false;
     }
     msg.reg_done = false;
-    msg.hybrid = None;
+    msg.packed_ivs = Intervals::of((0, msg.size));
     msg.mw_stage = false;
     msg.targets = None;
     msg.posted_segs = 0;
@@ -4124,8 +3750,7 @@ fn renegotiate_send(
         blk_median: stats.median,
     };
     send_ctrl_msg(rs, ctx, peer, &start, 0);
-    assign_pack_bufs(rs, ctx, &mut msg);
-    start_pack_chain(rs, ctx, &mut msg);
+    start_packing(rs, ctx, &mut msg);
     am.sends.insert((peer, seq), msg);
 }
 
@@ -4151,38 +3776,20 @@ fn receiver_renegotiate(
     // generation (arrived-but-not-unpacked packed segments).
     msg.drop_unpacks += msg.segs_arrived.saturating_sub(msg.segs_unpacked);
     receiver_release(rs, ctx, &mut msg);
-    msg.unpack_bufs.clear();
     msg.scheme = Scheme::BcSpup;
     msg.nsegs = nsegs;
     msg.seg_size = seg_size;
     msg.segs_arrived = 0;
     msg.segs_unpacked = 0;
     msg.segs_seen.clear();
-    msg.packed_intervals.clear();
+    msg.packed_ivs = Intervals::of((0, size));
     msg.marker_seen = false;
     msg.reads_outstanding = 0;
     msg.segs_announced = 0;
     msg.reply_copy = None;
-    let mut segs = crate::msg::SegList::new();
-    for _ in 0..nsegs {
-        let sb = acquire_unpack_seg(rs, ctx);
-        segs.push((sb.va, sb.rkey));
-        msg.unpack_bufs.push(sb);
-    }
-    let reply = CtrlMsg::RndvReply {
-        seq,
-        scheme: Scheme::BcSpup.to_wire(),
-        body: ReplyBody::Segments { segs },
-    };
-    msg.pending_reply = Some({
-        let mut buf = take_ctrl_buf(rs);
-        reply.encode_into(&mut buf);
-        buf
-    });
-    let done = rs
-        .cpu
-        .reserve_labeled(ctx.now(), ctx.cfg.ctrl_overhead_ns, "ctrl");
-    ctx.cpu_event(done, rs.rank, CpuAct::ReceiverReady { peer, seq });
+    let segs = assign_unpack_bufs(rs, ctx, &mut msg);
+    let reply = encode_reply(rs, seq, Scheme::BcSpup, ReplyBody::Segments { segs });
+    queue_reply(rs, ctx, &mut msg, reply, ctx.cfg.ctrl_overhead_ns, "ctrl");
     am.recvs.insert((peer, seq), msg);
 }
 

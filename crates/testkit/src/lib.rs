@@ -270,37 +270,60 @@ pub fn shrink_report<T: Clone>(
 /// static ALLOC: ibdt_testkit::CountingAlloc = ibdt_testkit::CountingAlloc;
 /// ```
 ///
-/// [`CountingAlloc::allocations`] returns the number of allocation
-/// events (alloc, alloc_zeroed, and growing reallocs) since process
-/// start; diff two readings around a region to count its allocations.
-/// The counter is a single relaxed atomic — cheap enough to leave on
-/// for every benchmark run, and exact because the simulator's hot
-/// paths are single-threaded.
+/// Allocation events are alloc, alloc_zeroed, and growing reallocs;
+/// diff two readings around a region to count its allocations.
+/// [`CountingAlloc::allocations`] counts the calling thread only, so a
+/// reading is exact even while the test harness runs sibling tests on
+/// parallel threads. [`CountingAlloc::process_allocations`] sums every
+/// thread, for regions that fan work out to worker threads (the sharded
+/// scale driver). Both counters are cheap enough to leave on for every
+/// benchmark run.
 pub struct CountingAlloc;
 
-static ALLOCATIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static PROCESS_ALLOCATIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+std::thread_local! {
+    // `const`-initialized and without a destructor: touching it from
+    // inside the allocator neither allocates nor registers a
+    // thread-local destructor.
+    static THREAD_ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 impl CountingAlloc {
-    /// Allocation events since process start.
+    /// Allocation events on the calling thread since it started.
     pub fn allocations() -> u64 {
-        ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed)
+        THREAD_ALLOCATIONS
+            .try_with(std::cell::Cell::get)
+            .unwrap_or(0)
+    }
+
+    /// Allocation events on every thread since process start.
+    pub fn process_allocations() -> u64 {
+        PROCESS_ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn count() {
+        PROCESS_ALLOCATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // `try_with`: an allocation during thread teardown, after the
+        // slot is gone, still counts process-wide instead of aborting.
+        let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
     }
 }
 
 // SAFETY: defers entirely to `System`; the count is side-band.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Self::count();
         std::alloc::System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Self::count();
         std::alloc::System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Self::count();
         std::alloc::System.realloc(ptr, layout, new_size)
     }
 

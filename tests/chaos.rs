@@ -193,11 +193,11 @@ fn unrecoverable_loss_fails_with_typed_errors() {
 }
 
 /// A registration budget too small for zero-copy pinning must degrade
-/// RWG-UP / P-RRS / Multi-W to a copy-based scheme per message —
-/// recorded in the counters — and still deliver byte-exact.
+/// RWG-UP / P-RRS / Multi-W / Hybrid to a copy-based scheme per
+/// message — recorded in the counters — and still deliver byte-exact.
 #[test]
 fn registration_budget_forces_copy_fallback() {
-    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW] {
+    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW, Scheme::Hybrid] {
         let ty = Datatype::hvector(64, 1024, 2048, &Datatype::byte()).unwrap();
         let mut spec = ClusterSpec::default();
         spec.mpi.audit = true;
@@ -223,7 +223,7 @@ fn registration_budget_forces_copy_fallback() {
 /// against the budget check being over-eager).
 #[test]
 fn ample_budget_never_falls_back() {
-    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW] {
+    for scheme in [Scheme::RwgUp, Scheme::PRrs, Scheme::MultiW, Scheme::Hybrid] {
         let ty = Datatype::hvector(64, 1024, 2048, &Datatype::byte()).unwrap();
         let mut spec = ClusterSpec::default();
         spec.mpi.audit = true;
@@ -236,6 +236,66 @@ fn ample_budget_never_falls_back() {
         );
         assert_delivered(&ty, 1, &src, &dst, "no-fallback delivery");
     }
+}
+
+/// Hybrid with a budget that admits the receiver's pinning but not the
+/// sender's: the receiver keeps its Hybrid reply, and the sender stages
+/// the direct part through a copy buffer instead of pinning it —
+/// byte-exact, with the fallback counted on the sender only.
+#[test]
+fn hybrid_sender_budget_refusal_stages_direct_part() {
+    // One 64 KiB receiver block (written directly) fed by 1 KiB sender
+    // blocks 8 KiB apart, whose OGR cover spans ~0.5 MiB.
+    let rty = Datatype::contiguous(64 * 1024, &Datatype::byte()).unwrap();
+    let sty = Datatype::hvector(64, 1024, 8192, &Datatype::byte()).unwrap();
+    let mut spec = ClusterSpec::default();
+    spec.mpi.audit = true;
+    spec.mpi.scheme = Scheme::Hybrid;
+    spec.mpi.reg_budget_bytes = 64 * 1024;
+    let mut cluster = Cluster::new(spec);
+    let span = sty.true_ub() as u64 + 64;
+    let sbuf = cluster.alloc(0, span, 4096);
+    let rbuf = cluster.alloc(1, span, 4096);
+    cluster.fill_pattern(0, sbuf, span, 11);
+    let p0 = vec![
+        AppOp::Isend {
+            peer: 1,
+            buf: sbuf,
+            count: 1,
+            ty: sty.clone(),
+            tag: 1,
+        },
+        AppOp::WaitAll,
+    ];
+    let p1 = vec![
+        AppOp::Irecv {
+            peer: 0,
+            buf: rbuf,
+            count: 1,
+            ty: rty,
+            tag: 1,
+        },
+        AppOp::WaitAll,
+    ];
+    let stats = cluster.run(vec![p0, p1]);
+    assert_eq!(stats.total_errors(), 0, "{:?}", stats.errors);
+    assert!(
+        stats.counters[0].scheme_fallbacks > 0,
+        "sender should have staged its direct part"
+    );
+    assert_eq!(
+        stats.counters[1].scheme_fallbacks, 0,
+        "receiver should have kept Hybrid"
+    );
+    let src = cluster.read_mem(0, sbuf, span);
+    let dst = cluster.read_mem(1, rbuf, 64 * 1024);
+    let packed: Vec<u8> = sty
+        .flat()
+        .repeat(1)
+        .into_iter()
+        .flat_map(|(o, l)| src[o as usize..(o as u64 + l) as usize].to_vec())
+        .collect();
+    assert_eq!(dst, packed, "staged direct part corrupted the data");
 }
 
 /// A receiver that is slow to post its receive triggers the
