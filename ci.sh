@@ -24,6 +24,9 @@
 # must fingerprint bit-identically across 1/2/8 shards (DESIGN.md §15,
 # EXPERIMENTS.md X15).
 #
+# `./ci.sh --lint` runs only the grep lints below and stops (the
+# workflow's build-test-lint job runs them this way).
+#
 # `./ci.sh --shm` runs the shared-memory transport smoke: regenerates
 # figure x17 (DDT vs manual pack across transports) and enforces the
 # arXiv:1607.00178 guideline bounds — the datatype path must not lose
@@ -38,6 +41,7 @@ SOAK=0
 SCALE=0
 CHAOS_SCALE=0
 SHM=0
+LINT_ONLY=0
 for arg in "$@"; do
   case "$arg" in
     --chaos) CHAOS=1 ;;
@@ -46,7 +50,8 @@ for arg in "$@"; do
     --scale) SCALE=1 ;;
     --chaos-scale) CHAOS_SCALE=1 ;;
     --shm) SHM=1 ;;
-    *) echo "unknown argument: $arg (supported: --chaos, --bench-gate, --soak, --scale, --chaos-scale, --shm)" >&2; exit 2 ;;
+    --lint) LINT_ONLY=1 ;;
+    *) echo "unknown argument: $arg (supported: --chaos, --bench-gate, --soak, --scale, --chaos-scale, --shm, --lint)" >&2; exit 2 ;;
   esac
 done
 
@@ -73,6 +78,25 @@ if grep -rnw "Segment" crates/mpicore/src crates/ibsim/src crates/workloads/src 
   echo "error: Segment named in production code; use the rank's cached" \
        "TransferPlan (RankState::plan_for) instead." >&2
   exit 1
+fi
+
+echo "==> lint: no thread-local spares"
+# State is reused between runs in one place, the whole-cluster pool
+# (mpicore/src/cluster.rs), and per-message payload slabs in another
+# (ibsim/src/payload.rs); a thread-local anywhere else in the
+# simulator crates carries state from one cluster to the next behind
+# that pool's back (DESIGN.md §17). Comment lines are exempt.
+if grep -rn "thread_local!" crates/simcore/src crates/memreg/src crates/ibsim/src crates/mpicore/src \
+    | grep -v -e "^crates/ibsim/src/payload.rs:" -e "^crates/mpicore/src/cluster.rs:" \
+    | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+  echo "error: thread_local! outside the cluster and payload pools; keep" \
+       "reusable state inside the Cluster, which recycles it whole." >&2
+  exit 1
+fi
+
+if [[ "$LINT_ONLY" == 1 ]]; then
+  echo "LINTS OK"
+  exit 0
 fi
 
 echo "==> cargo build --release"

@@ -436,38 +436,6 @@ impl Default for DirState {
     }
 }
 
-thread_local! {
-    /// Receive rings retired by dropped fabrics; a fresh fabric's first
-    /// posts adopt them, so a sweep building one short-lived cluster
-    /// per point pays the ring-growth allocations only once per thread.
-    static RECVQ_SPARE: std::cell::RefCell<Vec<VecDeque<RecvWr>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Cap on the retired receive-ring list.
-const RECVQ_SPARE_CAP: usize = 32;
-
-impl Drop for Fabric {
-    fn drop(&mut self) {
-        // try_with: thread teardown may have destroyed the spare list.
-        let _ = RECVQ_SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            for n in &mut self.nodes {
-                for (_, q) in n.recvq.iter_touched_mut() {
-                    if s.len() >= RECVQ_SPARE_CAP {
-                        return;
-                    }
-                    if q.capacity() > 0 {
-                        let mut q = std::mem::take(q);
-                        q.clear();
-                        s.push(q);
-                    }
-                }
-            }
-        });
-    }
-}
-
 /// The simulated InfiniBand fabric.
 #[derive(Debug)]
 pub struct Fabric {
@@ -516,17 +484,16 @@ pub struct Fabric {
 impl Fabric {
     /// Creates a fabric of `n` fully connected nodes.
     pub fn new(n: usize, cfg: NetConfig) -> Self {
-        let nodes = (0..n)
-            .map(|_| Node {
-                tx: SerialResource::new("nic-tx").with_trace(),
-                recvq: PagedTable::new(n),
-                parked: PagedTable::new(n),
-                sq_busy: PagedTable::new(n),
-            })
-            .collect();
-        Self {
-            cfg,
-            nodes,
+        let mut fabric = Self {
+            cfg: NetConfig::default(),
+            nodes: (0..n)
+                .map(|_| Node {
+                    tx: SerialResource::new("nic-tx").with_trace(),
+                    recvq: PagedTable::new(n),
+                    parked: PagedTable::new(n),
+                    sq_busy: PagedTable::new(n),
+                })
+                .collect(),
             stats: FabricStats::default(),
             faults: None,
             next_id: 0,
@@ -534,13 +501,15 @@ impl Fabric {
             inflight: Slab::new(),
             dirs: PagedTable::new(n * n),
             migrating: 0,
-            ports_down: vec![[false; 2]; n],
+            ports_down: Vec::new(),
             ports_down_count: 0,
             nodes_down: Vec::new(),
-            node_stats: vec![FabricStats::default(); n],
-            cq_used: vec![0; n],
-            cq_peak: vec![0; n],
-        }
+            node_stats: Vec::new(),
+            cq_used: Vec::new(),
+            cq_peak: Vec::new(),
+        };
+        fabric.reset(cfg);
+        fabric
     }
 
     /// True when the completion queues are bounded.
@@ -648,19 +617,21 @@ impl Fabric {
         };
     }
 
-    /// Returns the fabric to its just-constructed, fault-free state in
-    /// place, keeping every heap container's capacity: transmit engines
-    /// idle at t=0 with cleared traces, receive/park/send queues empty
-    /// but warm, per-direction QP state back at RTS/epoch 0, stats and
-    /// counters zeroed. A reset fabric behaves bit-identically to
-    /// `Fabric::new` — world recycling relies on this. Re-arm fault
-    /// injection afterwards with [`Fabric::set_fault_plan`] if needed.
-    pub fn reset(&mut self) {
-        for n in &mut self.nodes {
-            n.tx.reset();
-            n.recvq.reset_entries(|q| q.clear());
-            n.parked.reset_entries(|q| q.clear());
-            n.sq_busy.reset_entries(|q| q.clear());
+    /// Starts a fault-free run under `cfg` in place, keeping every
+    /// heap container's capacity: transmit engines idle at t=0 with
+    /// cleared traces, receive/park/send queues empty but warm,
+    /// per-direction QP state back at RTS/epoch 0, stats and counters
+    /// zeroed. [`Fabric::new`] ends here too, so a recycled fabric
+    /// behaves bit-identically to a fresh one. Arm fault injection
+    /// afterwards with [`Fabric::set_fault_plan`] if needed.
+    pub fn reset(&mut self, cfg: NetConfig) {
+        let n = self.nodes.len();
+        self.cfg = cfg;
+        for node in &mut self.nodes {
+            node.tx.reset();
+            node.recvq.reset_entries(|q| q.clear());
+            node.parked.reset_entries(|q| q.clear());
+            node.sq_busy.reset_entries(|q| q.clear());
         }
         self.stats = FabricStats::default();
         self.faults = None;
@@ -669,20 +640,16 @@ impl Fabric {
         self.inflight.clear();
         self.dirs.reset_entries(|d| *d = DirState::default());
         self.migrating = 0;
-        for p in &mut self.ports_down {
-            *p = [false; 2];
-        }
+        self.ports_down.clear();
+        self.ports_down.resize(n, [false; 2]);
         self.ports_down_count = 0;
         self.nodes_down.clear();
-        for s in &mut self.node_stats {
-            *s = FabricStats::default();
-        }
-        for u in &mut self.cq_used {
-            *u = 0;
-        }
-        for p in &mut self.cq_peak {
-            *p = 0;
-        }
+        self.node_stats.clear();
+        self.node_stats.resize(n, FabricStats::default());
+        self.cq_used.clear();
+        self.cq_used.resize(n, 0);
+        self.cq_peak.clear();
+        self.cq_peak.resize(n, 0);
     }
 
     /// True when fault injection is active.
@@ -1267,17 +1234,9 @@ impl Fabric {
         let n = &mut self.nodes[node as usize];
         let q = &mut n.recvq[peer as usize];
         if q.capacity() == 0 {
-            // First post on this direction: adopt a ring retired by a
-            // previous fabric on this thread, or size one in a single
+            // First post on this direction: size the ring in a single
             // step instead of dribbling through doubling growth.
-            match RECVQ_SPARE
-                .try_with(|s| s.borrow_mut().pop())
-                .ok()
-                .flatten()
-            {
-                Some(spare) => *q = spare,
-                None => q.reserve(16),
-            }
+            q.reserve(16);
         }
         q.push_back(wr);
         if !n.parked[peer as usize].is_empty() {

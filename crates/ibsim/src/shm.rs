@@ -290,10 +290,7 @@ impl ShmChannel {
     /// configuration — validate first with [`ShmConfig::validate`]
     /// (the embedding `Cluster` does).
     pub fn new(n: usize, cfg: ShmConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid shm configuration: {e}");
-        }
-        ShmChannel {
+        let mut channel = ShmChannel {
             cfg,
             nodes: (0..n)
                 .map(|_| ShmNode {
@@ -305,15 +302,21 @@ impl ShmChannel {
             inflight: Slab::new(),
             stats: FabricStats::default(),
             node_stats: vec![FabricStats::default(); n],
-        }
+        };
+        channel.reset(cfg);
+        channel
     }
 
-    /// Returns the channel to its just-constructed state in place,
-    /// keeping queue and trace capacity: copy engines idle at t=0,
-    /// receive/park queues empty but warm, stats zeroed. A reset
-    /// channel behaves bit-identically to [`ShmChannel::new`] — world
-    /// recycling relies on this.
-    pub fn reset(&mut self) {
+    /// Starts a run under `cfg` in place, keeping queue and trace
+    /// capacity: copy engines idle at t=0, receive/park queues empty
+    /// but warm, stats zeroed. [`ShmChannel::new`] ends here too, so a
+    /// recycled channel behaves bit-identically to a fresh one. Panics
+    /// on an invalid configuration.
+    pub fn reset(&mut self, cfg: ShmConfig) {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid shm configuration: {e}");
+        }
+        self.cfg = cfg;
         for n in &mut self.nodes {
             n.engine.reset();
             for q in &mut n.recvq {

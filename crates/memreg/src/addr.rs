@@ -14,43 +14,22 @@
 //! Spaces are hundreds of megabytes of *virtual* memory but touch only
 //! a sliver of it. A fresh `vec![0; cap]` is a lazy `mmap`, so every
 //! byte the simulation writes pays a first-touch page fault — and a
-//! short-lived space (one per rank per benchmark iteration) pays the
-//! whole fault bill again each time, dwarfing the simulated work.
-//! Dropped spaces therefore park their backing buffer in a
-//! thread-local pool together with a **dirty page bitmap** (one bit
-//! per 4 KiB page, maintained by every mutable access); `new` with a
-//! matching capacity re-zeros exactly the dirty pages and hands the
-//! warm, already faulted-in buffer back. Observable behaviour is
-//! identical to a fresh zeroed allocation — the bitmap is exactly the
-//! set of pages that can differ from zero.
+//! short-lived space (one per rank per benchmark iteration) would pay
+//! the whole fault bill again each time, dwarfing the simulated work.
+//! A space that outlives its run (its cluster is recycled) is therefore
+//! [reset](AddressSpace::reset) in place instead: a **dirty page
+//! bitmap** (one bit per 4 KiB page, maintained by every mutable
+//! access) names exactly the pages that can differ from zero, and the
+//! reset re-zeros those and keeps the warm, already faulted-in buffer.
+//! Observable behaviour is identical to a fresh zeroed allocation.
 
 use crate::error::MemError;
-use std::cell::{Cell, RefCell};
 
 /// A virtual address inside one rank's [`AddressSpace`].
 pub type Va = u64;
 
 /// Dirty-tracking granularity (one page).
 const PAGE: u64 = 4096;
-/// Maximum retired backing buffers kept per thread.
-const MAX_POOLED_SPACES: usize = 8;
-/// Retired buffers dirtier than this are not pooled: re-zeroing that
-/// much memory costs more than a fresh lazily-mapped `calloc`.
-const MAX_RECYCLE_DIRTY: u64 = 32 << 20;
-
-/// A retired backing buffer: the bytes plus the bitmap of pages that
-/// may be non-zero.
-struct Retired {
-    mem: Vec<u8>,
-    dirty: Vec<u64>,
-}
-
-thread_local! {
-    static SPACE_POOL: RefCell<Vec<Retired>> = const { RefCell::new(Vec::new()) };
-    static SP_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static SP_REUSES: Cell<u64> = const { Cell::new(0) };
-    static SP_ZEROED: Cell<u64> = const { Cell::new(0) };
-}
 
 /// Flat byte memory for one simulated rank.
 #[derive(Debug)]
@@ -59,9 +38,13 @@ pub struct AddressSpace {
     brk: u64,
     allocs: u64,
     /// One bit per page; set when a mutable access may have written
-    /// the page. Exact (no over-approximation), so recycling re-zeros
+    /// the page. Exact (no over-approximation), so a reset re-zeros
     /// only bytes that were really reachable by a write.
     dirty: Vec<u64>,
+    /// True once the buffer has served a previous tenancy.
+    recycled: bool,
+    /// Bytes re-zeroed when the current tenancy began.
+    zeroed: u64,
 }
 
 /// Bitmap words needed for `capacity` bytes of pages.
@@ -74,62 +57,25 @@ impl AddressSpace {
     ///
     /// Address 0 is reserved (never returned by [`Self::alloc`]) so that
     /// 0 can be used as a null address in protocol messages.
-    ///
-    /// Reuses a recycled backing buffer of the same capacity when one
-    /// is pooled (see the module docs); the observable contents are
-    /// all-zero either way.
     pub fn new(capacity: u64) -> Self {
-        let recycled = SPACE_POOL
-            .try_with(|p| {
-                let mut p = p.borrow_mut();
-                p.iter()
-                    .position(|r| r.mem.len() as u64 == capacity)
-                    .map(|i| p.swap_remove(i))
-            })
-            .ok()
-            .flatten();
-        let (mem, dirty) = match recycled {
-            Some(Retired { mut mem, mut dirty }) => {
-                let mut zeroed = 0u64;
-                for (w, slot) in dirty.iter_mut().enumerate() {
-                    let mut word = std::mem::take(slot);
-                    while word != 0 {
-                        let page = (w as u64) * 64 + word.trailing_zeros() as u64;
-                        let lo = page * PAGE;
-                        let hi = (lo + PAGE).min(capacity);
-                        mem[lo as usize..hi as usize].fill(0);
-                        zeroed += hi - lo;
-                        word &= word - 1;
-                    }
-                }
-                SP_REUSES.with(|c| c.set(c.get() + 1));
-                SP_ZEROED.with(|c| c.set(c.get() + zeroed));
-                (mem, dirty)
-            }
-            None => {
-                SP_ALLOCS.with(|c| c.set(c.get() + 1));
-                (
-                    vec![0u8; capacity as usize],
-                    vec![0u64; bitmap_words(capacity)],
-                )
-            }
-        };
-        Self {
-            mem,
-            brk: 64, // reserve a null guard region
+        let mut space = Self {
+            mem: vec![0u8; capacity as usize],
+            brk: 0,
             allocs: 0,
-            dirty,
-        }
+            dirty: vec![0u64; bitmap_words(capacity)],
+            recycled: false,
+            zeroed: 0,
+        };
+        space.reset();
+        space
     }
 
-    /// Returns the space to its just-constructed state in place:
-    /// dirty pages re-zeroed, bump pointer back at the null guard,
-    /// allocation count cleared. Semantically this is the drop→pool→
-    /// `new` round trip without the pool detour — the same buffer is
-    /// reused and exactly the dirty pages are re-zeroed — so it is
-    /// accounted identically in [`AddressSpace::pool_stats`] (one
-    /// reuse, the zeroed bytes). Observable contents afterwards are
-    /// all-zero, as from a fresh space.
+    /// Starts a new tenancy in place: dirty pages re-zeroed, bump
+    /// pointer back at the null guard, allocation count cleared. The
+    /// buffer itself is kept, so its pages stay faulted in; observable
+    /// contents afterwards are all-zero, as from a fresh space. A
+    /// space nothing was allocated in or written to stays in its
+    /// current tenancy.
     pub fn reset(&mut self) {
         let capacity = self.mem.len() as u64;
         let mut zeroed = 0u64;
@@ -144,28 +90,21 @@ impl AddressSpace {
                 word &= word - 1;
             }
         }
-        SP_REUSES.with(|c| c.set(c.get() + 1));
-        SP_ZEROED.with(|c| c.set(c.get() + zeroed));
-        self.brk = 64;
+        if self.allocs > 0 || zeroed > 0 {
+            self.recycled = true;
+            self.zeroed = zeroed;
+        }
+        self.brk = 64; // reserve a null guard region
         self.allocs = 0;
     }
 
-    /// `(fresh allocations, pool reuses, bytes re-zeroed)` by this
-    /// thread's backing-store pool since the last
-    /// [`AddressSpace::reset_pool_stats`].
-    pub fn pool_stats() -> (u64, u64, u64) {
-        (
-            SP_ALLOCS.with(Cell::get),
-            SP_REUSES.with(Cell::get),
-            SP_ZEROED.with(Cell::get),
-        )
-    }
-
-    /// Zeroes this thread's backing-store pool counters.
-    pub fn reset_pool_stats() {
-        SP_ALLOCS.with(|c| c.set(0));
-        SP_REUSES.with(|c| c.set(0));
-        SP_ZEROED.with(|c| c.set(0));
+    /// How the current tenancy's backing store was obtained:
+    /// `(fresh allocations, reuses, bytes re-zeroed)` — `(1, 0, 0)`
+    /// for a newly built space, `(0, 1, bytes)` once a reset recycled
+    /// it.
+    pub fn recycle_stats(&self) -> (u64, u64, u64) {
+        let r = u64::from(self.recycled);
+        (1 - r, r, self.zeroed)
     }
 
     /// Records that `[addr, addr+len)` may have been written by
@@ -297,35 +236,6 @@ impl AddressSpace {
     }
 }
 
-impl Drop for AddressSpace {
-    /// Retires the backing buffer (with its dirty list) to the
-    /// thread-local pool so the next same-capacity space can reuse the
-    /// already faulted-in pages.
-    fn drop(&mut self) {
-        if self.mem.is_empty() {
-            return;
-        }
-        let dirty_total: u64 = self
-            .dirty
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum::<u64>()
-            * PAGE;
-        if dirty_total > MAX_RECYCLE_DIRTY {
-            return;
-        }
-        let mem = std::mem::take(&mut self.mem);
-        let dirty = std::mem::take(&mut self.dirty);
-        // try_with: thread teardown may have destroyed the pool.
-        let _ = SPACE_POOL.try_with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < MAX_POOLED_SPACES {
-                p.push(Retired { mem, dirty });
-            }
-        });
-    }
-}
-
 /// Copies bytes between two address spaces — the functional half of an
 /// RDMA operation. `src` and `dst` may belong to different ranks.
 pub fn copy_between(
@@ -417,52 +327,59 @@ mod tests {
     #[test]
     fn recycled_space_reads_all_zero() {
         let cap = 1u64 << 20;
-        {
-            let mut a = AddressSpace::new(cap);
-            a.write(100, &[0xFF; 64]).unwrap();
-            a.fill(8192, 4096, 0xEE).unwrap();
-            a.copy_within(100, cap - 200, 64).unwrap();
-            a.slice_mut(500_000, 10).unwrap().fill(0xDD);
-        }
-        let b = AddressSpace::new(cap);
+        let mut a = AddressSpace::new(cap);
+        a.write(100, &[0xFF; 64]).unwrap();
+        a.fill(8192, 4096, 0xEE).unwrap();
+        a.copy_within(100, cap - 200, 64).unwrap();
+        a.slice_mut(500_000, 10).unwrap().fill(0xDD);
+        a.reset();
         assert!(
-            b.slice(0, cap).unwrap().iter().all(|&x| x == 0),
+            a.slice(0, cap).unwrap().iter().all(|&x| x == 0),
             "recycled space leaked previous contents"
         );
+        assert_eq!(a.alloc(8, 8).unwrap(), 64, "bump pointer back at the guard");
     }
 
     #[test]
     fn recycling_reuses_buffers_and_zeroes_only_dirty_pages() {
-        // Distinctive capacity so parallel tests' pools don't interfere
-        // with the counters we assert on.
         let cap = (1u64 << 20) + 12_288;
-        AddressSpace::reset_pool_stats();
-        for i in 0..5u64 {
-            let mut a = AddressSpace::new(cap);
+        let mut a = AddressSpace::new(cap);
+        assert_eq!(a.recycle_stats(), (1, 0, 0));
+        for i in 1..5u64 {
             a.write(4096 * i, &[1; 100]).unwrap();
+            a.reset();
+            // Each reset re-zeroed one dirty page, not the whole megabyte.
+            assert_eq!(a.recycle_stats(), (0, 1, PAGE));
         }
-        let (allocs, reuses, zeroed) = AddressSpace::pool_stats();
-        assert_eq!(allocs, 1, "same-capacity spaces should share a buffer");
-        assert_eq!(reuses, 4);
-        // Each reuse re-zeroed one dirty page, not the whole megabyte.
-        assert_eq!(zeroed, 4 * PAGE);
+        a.alloc(8, 8).unwrap();
+        a.reset();
+        assert_eq!(
+            a.recycle_stats(),
+            (0, 1, 0),
+            "a clean tenancy re-zeros nothing"
+        );
+        let mut b = AddressSpace::new(cap);
+        b.reset();
+        assert_eq!(
+            b.recycle_stats(),
+            (1, 0, 0),
+            "an unused space is still fresh"
+        );
     }
 
     #[test]
     fn scattered_writes_recycle_to_all_zero() {
         let cap = 64u64 * 1024 * 1024;
-        {
-            let mut a = AddressSpace::new(cap);
-            // Scattered writes, including page- and word-boundary
-            // straddles, across the whole space.
-            for i in 0..500u64 {
-                let addr = (i * 97_003) % (cap - 8);
-                a.write(addr, &[0xA5; 8]).unwrap();
-            }
+        let mut a = AddressSpace::new(cap);
+        // Scattered writes, including page- and word-boundary
+        // straddles, across the whole space.
+        for i in 0..500u64 {
+            let addr = (i * 97_003) % (cap - 8);
+            a.write(addr, &[0xA5; 8]).unwrap();
         }
-        let b = AddressSpace::new(cap);
+        a.reset();
         assert!(
-            b.slice(0, cap).unwrap().iter().all(|&x| x == 0),
+            a.slice(0, cap).unwrap().iter().all(|&x| x == 0),
             "dirty bitmap missed a written page"
         );
     }

@@ -76,11 +76,15 @@ impl PindownCache {
     }
 
     /// Empties the cache and zeroes its counters, keeping the entry
-    /// list's capacity and the configured byte bound. The caller is
-    /// responsible for the underlying [`RegTable`] — a recycled world
-    /// resets that table wholesale, so entries are not deregistered
-    /// one by one here.
-    pub fn reset(&mut self) {
+    /// list's capacity, and re-applies the configuration: afterwards
+    /// the cache behaves like [`PindownCache::new`]`(capacity_bytes)`,
+    /// or like [`PindownCache::disabled`] when `enabled` is false. The
+    /// caller is responsible for the underlying [`RegTable`] — a
+    /// recycled world resets that table wholesale, so entries are not
+    /// deregistered one by one here.
+    pub fn reset(&mut self, enabled: bool, capacity_bytes: u64) {
+        self.enabled = enabled;
+        self.capacity_bytes = if enabled { capacity_bytes } else { 0 };
         self.entries.clear();
         self.tick = 0;
         self.hits = 0;

@@ -15,7 +15,7 @@ use ibdt_ibsim::{
     Cqe, Fabric, FaultPlan, HostConfig, NetConfig, NodeMem, Payload, RecvWr, Sge, SgeList,
     ShmChannel, Transport, TransportConfig,
 };
-use ibdt_memreg::{AddressSpace, Va};
+use ibdt_memreg::Va;
 use ibdt_simcore::engine::{Engine, Scheduler, World};
 use ibdt_simcore::time::Time;
 use std::collections::VecDeque;
@@ -256,9 +256,9 @@ pub type Program = Vec<AppOp>;
 
 /// Cluster construction parameters.
 ///
-/// `PartialEq` keys the retired-cluster pool: [`Cluster::new`] reuses
-/// a [recycled](Cluster::recycle) cluster only when its spec equals
-/// the requested one field for field.
+/// [`Cluster::new`] reuses a [recycled](Cluster::recycle) cluster whose
+/// spec has the same `nprocs`, `mem_capacity` and transport kind; every
+/// other field is re-read when the cluster is reset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of ranks.
@@ -324,38 +324,6 @@ impl Backend {
     }
 }
 
-thread_local! {
-    /// Recycled simulation engines: [`Cluster::run`] returns its
-    /// engine here (reset, capacity retained) and the next run takes
-    /// it back, so a parameter sweep stops re-growing the event-wheel
-    /// arena after its first point. A reset engine is bit-identical in
-    /// behaviour to a fresh one (see [`Engine::reset`]).
-    static ENGINE_SPARE: std::cell::RefCell<Vec<Engine<Cluster>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Engine spare-list bound (an idle engine holds a few tens of KiB of
-/// arena capacity).
-const ENGINE_SPARE_CAP: usize = 8;
-
-fn take_engine() -> Engine<Cluster> {
-    ENGINE_SPARE
-        .try_with(|s| s.borrow_mut().pop())
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-fn recycle_engine(mut e: Engine<Cluster>) {
-    e.reset();
-    let _ = ENGINE_SPARE.try_with(|s| {
-        let mut s = s.borrow_mut();
-        if s.len() < ENGINE_SPARE_CAP {
-            s.push(e);
-        }
-    });
-}
-
 #[derive(Debug)]
 enum Blocked {
     No,
@@ -377,6 +345,10 @@ struct Interp {
 /// The simulated MPI cluster.
 pub struct Cluster {
     spec: ClusterSpec,
+    /// The event engine (created by the first reset), parked here
+    /// between runs so a recycled cluster keeps its event-wheel arena;
+    /// taken out while it drives the cluster.
+    engine: Option<Engine<Cluster>>,
     fabric: Backend,
     mems: Vec<NodeMem>,
     ranks: Vec<RankState>,
@@ -392,137 +364,90 @@ pub struct Cluster {
     /// Reused completion buffer handed to [`Fabric::handle`] each NIC
     /// event, so steady-state event handling allocates nothing.
     cqe_buf: Vec<(u32, Cqe)>,
-    /// Thread-local pool counter baselines captured at construction,
-    /// so [`RunStats`] reports this cluster's pool activity as deltas.
+    /// Thread-local payload-pool counter baseline captured at reset,
+    /// so [`RunStats`] reports this run's payload activity as a delta.
     payload_pool_base: (u64, u64),
-    space_pool_base: (u64, u64, u64),
+}
+
+/// What a cluster's allocations are sized by — rank count, per-rank
+/// memory and transport kind — and so what the spare pool is keyed
+/// by. Everything else in a [`ClusterSpec`] is re-read by
+/// [`Cluster::reset`].
+fn shape(spec: &ClusterSpec) -> (u32, u64, bool) {
+    (
+        spec.nprocs,
+        spec.mem_capacity,
+        matches!(spec.transport, TransportConfig::Shm(_)),
+    )
 }
 
 thread_local! {
-    /// Retired clusters waiting for an identical spec to come around
-    /// again. A parameter sweep varies message geometry but rebuilds
-    /// the same cluster shape per point; recycling the whole `Cluster`
-    /// (fabric queues, address spaces, rank state, caches) removes the
-    /// per-point construction allocations that remain after the
-    /// engine/page/payload pools. A reset cluster is bit-identical in
-    /// behaviour to a fresh one built on a warm thread (see
+    /// Retired clusters waiting for a spec of the same [shape] to come
+    /// around again. A parameter sweep varies schemes, configuration
+    /// and message geometry but rebuilds the same shape per point;
+    /// recycling the whole `Cluster` (engine, fabric queues, address
+    /// spaces, rank state, caches) removes the per-point construction
+    /// allocations and first-touch page faults. A reset cluster is
+    /// bit-identical in behaviour to a fresh one (see
     /// [`Cluster::reset`]).
     static CLUSTER_SPARE: std::cell::RefCell<Vec<Cluster>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Cluster spare-list bound. Sweeps alternate between at most a couple
-/// of shapes (e.g. cache-on/cache-off), so a small pool suffices; an
-/// idle cluster pins its address-space backing (MiBs), so the cap stays
-/// deliberately low.
+/// of shapes, so a small pool suffices; an idle cluster pins its
+/// address-space backing (MiBs), so the cap stays deliberately low.
 const CLUSTER_SPARE_CAP: usize = 4;
 
 impl Cluster {
     /// Builds a cluster: memories, MPI state, eager receive rings.
     ///
-    /// If a [recycled](Cluster::recycle) cluster with an equal spec is
-    /// available on this thread it is reset and returned instead,
-    /// skipping construction entirely.
+    /// If a [recycled](Cluster::recycle) cluster of the same shape (rank
+    /// count, memory capacity, transport kind) is available on this
+    /// thread it is reset under `spec` and returned instead of building
+    /// a new one. Either way the cluster is initialized by
+    /// [`Cluster::reset`].
     pub fn new(spec: ClusterSpec) -> Self {
-        if let Some(mut c) = CLUSTER_SPARE
+        let key = shape(&spec);
+        let parked = CLUSTER_SPARE
             .try_with(|s| {
                 let mut s = s.borrow_mut();
                 s.iter()
-                    .position(|c| c.spec == spec)
-                    .map(|i| s.swap_remove(i))
+                    .position(|c| shape(&c.spec) == key)
+                    .map(|i| s.remove(i))
             })
             .ok()
-            .flatten()
-        {
-            c.reset();
-            return c;
-        }
-        // Captured before the address spaces are built so the spaces'
-        // own pool hits/misses are attributed to this cluster.
-        let payload_pool_base = Payload::pool_stats();
-        let space_pool_base = AddressSpace::pool_stats();
-        if let Err(e) = spec.host.validate() {
-            panic!("invalid host configuration: {e}");
-        }
+            .flatten();
+        let mut cluster = parked.unwrap_or_else(|| Self::shell(&spec));
+        cluster.reset(spec);
+        cluster
+    }
+
+    /// An uninitialized cluster of `spec`'s shape: every per-rank and
+    /// per-node container exists, but no memory is allocated in the
+    /// address spaces and no receive is posted.
+    fn shell(spec: &ClusterSpec) -> Self {
         let n = spec.nprocs as usize;
-        let mut fabric = match &spec.transport {
-            TransportConfig::Ib => {
-                let mut f = Fabric::new(n, spec.net.clone());
-                f.set_fault_plan(spec.faults.clone());
-                Backend::Ib(f)
-            }
-            TransportConfig::Shm(c) => {
-                if let Err(e) = c.validate() {
-                    panic!("invalid shm configuration: {e}");
-                }
-                assert!(
-                    spec.faults.is_inert(),
-                    "fault injection requires the IB transport"
-                );
-                Backend::Shm(ShmChannel::new(n, *c))
-            }
+        let fabric = match &spec.transport {
+            TransportConfig::Ib => Backend::Ib(Fabric::new(n, spec.net.clone())),
+            TransportConfig::Shm(c) => Backend::Shm(ShmChannel::new(n, *c)),
         };
-        let mut mems: Vec<NodeMem> = (0..n).map(|_| NodeMem::new(spec.mem_capacity)).collect();
-        let mut ranks = Vec::with_capacity(n);
-        for r in 0..n as u32 {
-            ranks.push(RankState::new(
-                r,
-                spec.nprocs,
-                &spec.mpi,
-                &mut mems[r as usize],
-            ));
-        }
-        // Pre-post the eager receive rings (§3.1's pre-posted internal
-        // buffers).
-        let mut noop = |_t: Time, _e: ibdt_ibsim::NicEvent| {};
-        for r in 0..n as u32 {
-            for peer in 0..spec.nprocs {
-                if peer == r {
-                    continue;
-                }
-                for i in 0..spec.mpi.eager_bufs_per_peer {
-                    let va = ranks[r as usize].recv_buf_addr(
-                        &spec.mpi,
-                        ranks[r as usize].eager_region,
-                        peer,
-                        i,
-                    );
-                    let lkey = ranks[r as usize].eager_lkey;
-                    fabric
-                        .t_mut()
-                        .post_recv(
-                            0,
-                            r,
-                            peer,
-                            RecvWr {
-                                wr_id: va,
-                                sges: SgeList::of(Sge {
-                                    addr: va,
-                                    len: spec.mpi.eager_buf_size,
-                                    lkey,
-                                }),
-                            },
-                            &mems,
-                            &mut noop,
-                        )
-                        .expect("initial eager ring post");
-                }
-            }
-        }
         Self {
+            spec: spec.clone(),
+            engine: None,
+            fabric,
+            mems: (0..n).map(|_| NodeMem::new(spec.mem_capacity)).collect(),
+            ranks: (0..spec.nprocs)
+                .map(|r| RankState::new(r, spec.nprocs))
+                .collect(),
             active: (0..n).map(|_| ActiveMsgs::new(n)).collect(),
             interp: Vec::new(),
             marks: vec![Vec::new(); n],
-            spec,
-            fabric,
-            mems,
-            ranks,
             windows: std::collections::HashMap::new(),
             ran: false,
             events_handled: 0,
             cqe_buf: Vec::new(),
-            payload_pool_base,
-            space_pool_base,
+            payload_pool_base: (0, 0),
         }
     }
 
@@ -612,7 +537,7 @@ impl Cluster {
             blocked: Blocked::No,
             finished_at: None,
         }));
-        let mut engine: Engine<Cluster> = take_engine();
+        let mut engine = self.engine.take().expect("engine parked between runs");
         for r in 0..self.spec.nprocs {
             engine.seed(0, Ev::Resume { rank: r });
         }
@@ -677,15 +602,14 @@ impl Cluster {
             self.audit_invariants(clean);
         }
         let events_scheduled = engine.events_scheduled();
-        recycle_engine(engine);
+        self.engine = Some(engine);
         self.collect_stats(finish, events_scheduled)
     }
 
     /// Returns a finished cluster to the thread-local spare pool so a
-    /// later [`Cluster::new`] with an equal spec can reuse it instead
-    /// of rebuilding. Clusters with an active fault plan are dropped
-    /// instead: fault-injection state (the chaos RNG mid-stream) is
-    /// not recycled, so chaos runs stay single-shot.
+    /// later [`Cluster::new`] of the same shape can reuse it instead of
+    /// rebuilding. Clusters with an active fault plan are dropped
+    /// instead, so chaos runs stay single-shot.
     pub fn recycle(self) {
         if !self.spec.faults.is_inert() {
             return;
@@ -703,75 +627,72 @@ impl Cluster {
         });
     }
 
-    /// Restores a retired cluster to its just-constructed state, in
-    /// place. The contract is exact: a reset cluster must behave
-    /// bit-identically to a fresh `Cluster::new` on a warm thread —
-    /// same virtual-time results *and* same `RunStats` down to cache
-    /// and pool counters. Every sub-reset below therefore mirrors the
-    /// corresponding construction step (eager ring layout, segment
-    /// pool carving, pool-counter baselines) rather than merely
-    /// clearing state.
-    fn reset(&mut self) {
-        // Baselines first: construction captures them before the
-        // address spaces are built, and `AddressSpace::reset` bumps the
-        // same reuse/zeroed counters the drop→pool→new round trip
-        // would.
-        self.payload_pool_base = Payload::pool_stats();
-        self.space_pool_base = AddressSpace::pool_stats();
-        match &mut self.fabric {
-            Backend::Ib(f) => {
-                f.reset();
-                f.set_fault_plan(self.spec.faults.clone());
-            }
-            Backend::Shm(c) => c.reset(),
+    /// Initializes the cluster for a run under `spec`, in place — the
+    /// one init path for new and recycled clusters. `spec` must have
+    /// this cluster's [shape]; every other value it holds is re-read
+    /// here (MPI, network, shm and host configuration, fault plan).
+    /// The contract is exact: a recycled cluster behaves
+    /// bit-identically to a newly built one — same virtual-time
+    /// results and same `RunStats` apart from the host-side
+    /// `scratch_pool` and `space_pool` counters, which report the warm
+    /// buffers it reuses.
+    fn reset(&mut self, spec: ClusterSpec) {
+        debug_assert_eq!(shape(&spec), shape(&self.spec), "reset across shapes");
+        if let Err(e) = spec.host.validate() {
+            panic!("invalid host configuration: {e}");
         }
-        for mem in &mut self.mems {
+        self.spec = spec;
+        let spec = &self.spec;
+        self.payload_pool_base = Payload::pool_stats();
+        match (&mut self.fabric, &spec.transport) {
+            (Backend::Ib(f), TransportConfig::Ib) => {
+                f.reset(spec.net.clone());
+                f.set_fault_plan(spec.faults.clone());
+            }
+            (Backend::Shm(c), TransportConfig::Shm(cfg)) => {
+                assert!(
+                    spec.faults.is_inert(),
+                    "fault injection requires the IB transport"
+                );
+                c.reset(*cfg);
+            }
+            _ => unreachable!("the shape includes the transport kind"),
+        }
+        for (rs, mem) in self.ranks.iter_mut().zip(&mut self.mems) {
             mem.space.reset();
             mem.regs.reset();
             mem.tiers.clear();
+            rs.reset(&spec.mpi, mem);
         }
-        for r in 0..self.ranks.len() {
-            let (rs, mem) = (&mut self.ranks[r], &mut self.mems[r]);
-            rs.reset(&self.spec.mpi, mem);
-        }
-        // Re-post the eager receive rings exactly as construction does;
-        // the reset address spaces hand back the same deterministic
-        // layout, so ring addresses and keys match a fresh cluster's.
+        // Pre-post the eager receive rings (§3.1's pre-posted internal
+        // buffers).
         let mut noop = |_t: Time, _e: ibdt_ibsim::NicEvent| {};
-        for r in 0..self.spec.nprocs {
-            for peer in 0..self.spec.nprocs {
-                if peer == r {
-                    continue;
-                }
-                for i in 0..self.spec.mpi.eager_bufs_per_peer {
-                    let va = self.ranks[r as usize].recv_buf_addr(
-                        &self.spec.mpi,
-                        self.ranks[r as usize].eager_region,
-                        peer,
-                        i,
-                    );
-                    let lkey = self.ranks[r as usize].eager_lkey;
+        for rs in &self.ranks {
+            for peer in (0..spec.nprocs).filter(|&p| p != rs.rank) {
+                for i in 0..spec.mpi.eager_bufs_per_peer {
+                    let va = rs.recv_buf_addr(&spec.mpi, rs.eager_region, peer, i);
                     self.fabric
                         .t_mut()
                         .post_recv(
                             0,
-                            r,
+                            rs.rank,
                             peer,
                             RecvWr {
                                 wr_id: va,
                                 sges: SgeList::of(Sge {
                                     addr: va,
-                                    len: self.spec.mpi.eager_buf_size,
-                                    lkey,
+                                    len: spec.mpi.eager_buf_size,
+                                    lkey: rs.eager_lkey,
                                 }),
                             },
                             &self.mems,
                             &mut noop,
                         )
-                        .expect("eager ring repost on reset");
+                        .expect("initial eager ring post");
                 }
             }
         }
+        self.engine.get_or_insert_with(Engine::new).reset();
         for a in &mut self.active {
             a.reset();
         }
@@ -872,7 +793,6 @@ impl Cluster {
         let n = self.spec.nprocs as usize;
         let fstats = self.fabric.t().stats();
         let (pa, pr) = Payload::pool_stats();
-        let (sa, sr, sz) = AddressSpace::pool_stats();
         RunStats {
             finish_ns: finish,
             rank_finish_ns: self
@@ -935,11 +855,10 @@ impl Cluster {
                 pa.saturating_sub(self.payload_pool_base.0),
                 pr.saturating_sub(self.payload_pool_base.1),
             ),
-            space_pool: (
-                sa.saturating_sub(self.space_pool_base.0),
-                sr.saturating_sub(self.space_pool_base.1),
-                sz.saturating_sub(self.space_pool_base.2),
-            ),
+            space_pool: self.mems.iter().fold((0, 0, 0), |acc, m| {
+                let (f, r, z) = m.space.recycle_stats();
+                (acc.0 + f, acc.1 + r, acc.2 + z)
+            }),
             events_scheduled,
             plan_cache_canonical_hits: self
                 .ranks

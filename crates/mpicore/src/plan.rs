@@ -248,10 +248,14 @@ impl PlanCache {
     }
 
     /// Empties the cache and zeroes every counter, keeping map
-    /// capacity and configuration (enabled/capacity/canonicalization).
-    /// Lookups after a reset behave bit-identically to a fresh
-    /// cache's — world recycling relies on this.
-    pub fn reset(&mut self) {
+    /// capacity, and re-applies the configuration. Lookups after a
+    /// reset behave bit-identically to those of a fresh
+    /// `PlanCache::new(enabled, cap).with_canonicalization(canon)` —
+    /// world recycling relies on this.
+    pub fn reset(&mut self, enabled: bool, cap: usize, canon: bool) {
+        self.enabled = enabled;
+        self.cap = cap;
+        self.canon = canon;
         self.map.clear();
         self.tick = 0;
         self.hits = 0;

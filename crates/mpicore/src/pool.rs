@@ -21,7 +21,7 @@ pub(crate) struct StageBuf {
 }
 
 /// A pool of equally sized, pre-registered segment buffers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SegmentPool {
     seg_size: u64,
     base: Va,
@@ -42,53 +42,40 @@ impl SegmentPool {
         total_size: u64,
         seg_size: u64,
     ) -> Result<Self, MemError> {
+        let mut pool = Self::default();
+        pool.reset(space, regs, total_size, seg_size)?;
+        Ok(pool)
+    }
+
+    /// Carves the pool out of `space` and registers it: the backing
+    /// region is allocated page-aligned, the free list refilled in
+    /// place (capacity kept) and the counters zeroed. [`SegmentPool::new`]
+    /// ends here too; world recycling calls it against a *reset* space
+    /// and table, where deterministic allocation reproduces a fresh
+    /// pool's base, keys and free-list order.
+    pub fn reset(
+        &mut self,
+        space: &mut AddressSpace,
+        regs: &mut RegTable,
+        total_size: u64,
+        seg_size: u64,
+    ) -> Result<(), MemError> {
         assert!(seg_size > 0, "segment size must be positive");
         let count = total_size / seg_size;
         let base = space.alloc_page_aligned(count * seg_size)?;
         let reg = regs.register(base, count * seg_size);
-        // LIFO with the lowest addresses on top. The list itself is
-        // recycled through the thread-local spare so sweeps that build
-        // one cluster per point stop paying for it after the first.
-        let mut free: Vec<Va> = SPARE
-            .try_with(|s| s.borrow_mut().vas.pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        free.clear();
-        free.extend((0..count).rev().map(|i| base + i * seg_size));
-        Ok(Self {
-            seg_size,
-            base,
-            lkey: reg.lkey,
-            rkey: reg.rkey,
-            free,
-            total: count as usize,
-            exhaustions: 0,
-            acquires: 0,
-        })
-    }
-
-    /// Rebuilds the pool against a *reset* address space and
-    /// registration table (world recycling): re-allocates the backing
-    /// region, re-registers it, and refills the free list in place.
-    /// Deterministic allocation makes the base, keys, and free-list
-    /// order bit-identical to a freshly built pool's; reusing the free
-    /// list's capacity is exactly what `new` does when it draws a
-    /// retired list from the thread-local spare.
-    pub fn reset(&mut self, space: &mut AddressSpace, regs: &mut RegTable) {
-        let count = self.total as u64;
-        let base = space
-            .alloc_page_aligned(count * self.seg_size)
-            .expect("reset address space fits the original pool");
-        let reg = regs.register(base, count * self.seg_size);
+        self.seg_size = seg_size;
         self.base = base;
         self.lkey = reg.lkey;
         self.rkey = reg.rkey;
+        // LIFO with the lowest addresses on top.
         self.free.clear();
         self.free
-            .extend((0..count).rev().map(|i| base + i * self.seg_size));
+            .extend((0..count).rev().map(|i| base + i * seg_size));
+        self.total = count as usize;
         self.exhaustions = 0;
         self.acquires = 0;
+        Ok(())
     }
 
     /// Segment size in bytes.
@@ -165,34 +152,14 @@ impl SegmentPool {
     }
 }
 
-impl Drop for SegmentPool {
-    fn drop(&mut self) {
-        let _ = SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            if s.vas.len() < SPARE_CAP {
-                let mut v = std::mem::take(&mut self.free);
-                v.clear();
-                if v.capacity() > 0 {
-                    s.vas.push(v);
-                }
-            }
-        });
-    }
-}
-
 /// Reusable host-side scratch buffers for the zero-allocation hot
 /// path: packed-byte staging (`Vec<u8>`), block/SGE lists
-/// (`Vec<(Va, u64)>`), and block-length lists (`Vec<u64>`). Buffers
-/// are taken, used, and returned; their capacity survives, so
-/// steady-state sends stop allocating after the first few messages.
-/// Purely host-side — no modelled cost, no effect on the virtual
-/// clock.
-///
-/// When a pool is dropped its buffers spill to a bounded thread-local
-/// free-list, and a fresh pool's first takes refill from it — the same
-/// recycling the payload slabs use. A parameter sweep that builds one
-/// short-lived cluster per point therefore stops paying scratch
-/// warm-up allocations after its first iteration.
+/// (`Vec<(Va, u64)>`), block-length lists (`Vec<u64>`), stage-buffer
+/// lists and index sets. Buffers are taken, used, and returned; their
+/// capacity survives, so steady-state sends stop allocating after the
+/// first few messages. Purely host-side — no modelled cost, no effect
+/// on the virtual clock. The pool lives in its rank's state, so a
+/// recycled cluster keeps every shelf warm across runs.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     bytes: Vec<Vec<u8>>,
@@ -204,70 +171,32 @@ pub struct ScratchPool {
     allocs: u64,
 }
 
-thread_local! {
-    static SPARE: std::cell::RefCell<ScratchSpare> = const {
-        std::cell::RefCell::new(ScratchSpare {
-            bytes: Vec::new(),
-            blocks: Vec::new(),
-            lens: Vec::new(),
-            stage: Vec::new(),
-            vas: Vec::new(),
-            sets: Vec::new(),
-        })
-    };
-}
-
-struct ScratchSpare {
-    bytes: Vec<Vec<u8>>,
-    blocks: Vec<Vec<(Va, u64)>>,
-    lens: Vec<Vec<u64>>,
-    stage: Vec<Vec<StageBuf>>,
-    vas: Vec<Vec<Va>>,
-    sets: Vec<HashSet<u32>>,
-}
-
-/// Per-kind cap on the thread-local spare list.
-const SPARE_CAP: usize = 64;
 /// Minimum capacity of a pooled byte buffer (covers every control
 /// message wire size).
 const MIN_BYTES_CAP: usize = 64;
 
-impl Drop for ScratchPool {
-    fn drop(&mut self) {
-        // try_with: thread teardown may have destroyed the spare list.
-        let _ = SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            while s.bytes.len() < SPARE_CAP {
-                match self.bytes.pop() {
-                    Some(v) => s.bytes.push(v),
-                    None => break,
-                }
-            }
-            while s.blocks.len() < SPARE_CAP {
-                match self.blocks.pop() {
-                    Some(v) => s.blocks.push(v),
-                    None => break,
-                }
-            }
-            while s.lens.len() < SPARE_CAP {
-                match self.lens.pop() {
-                    Some(v) => s.lens.push(v),
-                    None => break,
-                }
-            }
-            while s.stage.len() < SPARE_CAP {
-                match self.stage.pop() {
-                    Some(v) => s.stage.push(v),
-                    None => break,
-                }
-            }
-            while s.sets.len() < SPARE_CAP {
-                match self.sets.pop() {
-                    Some(v) => s.sets.push(v),
-                    None => break,
-                }
-            }
-        });
+/// A container a [`ScratchPool`] shelf holds: cleared on reuse, and
+/// shelved only while it owns heap capacity.
+trait Reusable: Default {
+    fn clear(&mut self);
+    fn capacity(&self) -> usize;
+}
+
+impl<T> Reusable for Vec<T> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+    fn capacity(&self) -> usize {
+        Vec::capacity(self)
+    }
+}
+
+impl Reusable for HashSet<u32> {
+    fn clear(&mut self) {
+        HashSet::clear(self);
+    }
+    fn capacity(&self) -> usize {
+        HashSet::capacity(self)
     }
 }
 
@@ -277,169 +206,92 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Zeroes the reuse/alloc counters, keeping pooled buffers (world
-    /// recycling). Keeping them is observationally identical to the
-    /// drop→spare→take round trip a fresh pool on a warm thread
-    /// performs: either way the next take finds a recycled buffer and
-    /// counts a reuse.
+    /// Zeroes the reuse/alloc counters, keeping every shelved buffer
+    /// (world recycling).
     pub fn reset_counters(&mut self) {
         self.reuses = 0;
         self.allocs = 0;
     }
 
-    /// Takes a zeroed byte buffer of exactly `len` bytes, reusing a
-    /// returned buffer's capacity when one is available.
-    pub fn take_bytes(&mut self, len: usize) -> Vec<u8> {
-        let spare = |p: &mut Self| {
-            p.bytes.extend(
-                SPARE
-                    .try_with(|s| s.borrow_mut().bytes.pop())
-                    .ok()
-                    .flatten(),
-            )
-        };
-        if self.bytes.is_empty() {
-            spare(self);
-        }
-        match self.bytes.pop() {
+    /// Takes a cleared container off `shelf`, or a new empty one.
+    fn take<T: Reusable>(shelf: &mut Vec<T>, reuses: &mut u64, allocs: &mut u64) -> T {
+        match shelf.pop() {
             Some(mut v) => {
-                self.reuses += 1;
+                *reuses += 1;
                 v.clear();
-                if v.capacity() < len {
-                    // Round small buffers up so a 27-byte control
-                    // encode and a 36-byte control receive can share
-                    // one recycled buffer without regrowing it.
-                    v.reserve(len.max(MIN_BYTES_CAP));
-                }
-                v.resize(len, 0);
                 v
             }
             None => {
-                self.allocs += 1;
-                let mut v = Vec::with_capacity(len.max(MIN_BYTES_CAP));
-                v.resize(len, 0);
-                v
+                *allocs += 1;
+                T::default()
             }
         }
+    }
+
+    /// Shelves `v` unless it holds no heap capacity.
+    fn put<T: Reusable>(shelf: &mut Vec<T>, v: T) {
+        if v.capacity() > 0 {
+            shelf.push(v);
+        }
+    }
+
+    /// Takes a zeroed byte buffer of exactly `len` bytes, reusing a
+    /// returned buffer's capacity when one is available.
+    pub fn take_bytes(&mut self, len: usize) -> Vec<u8> {
+        let mut v = Self::take(&mut self.bytes, &mut self.reuses, &mut self.allocs);
+        if v.capacity() == 0 || v.capacity() < len {
+            // Round small buffers up so a 27-byte control encode and a
+            // 36-byte control receive can share one recycled buffer
+            // without regrowing it.
+            v.reserve(len.max(MIN_BYTES_CAP));
+        }
+        v.resize(len, 0);
+        v
     }
 
     /// Returns a byte buffer to the pool.
     pub fn put_bytes(&mut self, v: Vec<u8>) {
-        if v.capacity() > 0 {
-            self.bytes.push(v);
-        }
+        Self::put(&mut self.bytes, v);
     }
 
     /// Takes an empty block/SGE list, reusing returned capacity.
     pub fn take_blocks(&mut self) -> Vec<(Va, u64)> {
-        if self.blocks.is_empty() {
-            self.blocks.extend(
-                SPARE
-                    .try_with(|s| s.borrow_mut().blocks.pop())
-                    .ok()
-                    .flatten(),
-            );
-        }
-        match self.blocks.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::new()
-            }
-        }
+        Self::take(&mut self.blocks, &mut self.reuses, &mut self.allocs)
     }
 
     /// Returns a block/SGE list to the pool.
     pub fn put_blocks(&mut self, v: Vec<(Va, u64)>) {
-        if v.capacity() > 0 {
-            self.blocks.push(v);
-        }
+        Self::put(&mut self.blocks, v);
     }
 
     /// Takes an empty block-length list, reusing returned capacity.
     pub fn take_lens(&mut self) -> Vec<u64> {
-        if self.lens.is_empty() {
-            self.lens
-                .extend(SPARE.try_with(|s| s.borrow_mut().lens.pop()).ok().flatten());
-        }
-        match self.lens.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::new()
-            }
-        }
+        Self::take(&mut self.lens, &mut self.reuses, &mut self.allocs)
     }
 
     /// Returns a block-length list to the pool.
     pub fn put_lens(&mut self, v: Vec<u64>) {
-        if v.capacity() > 0 {
-            self.lens.push(v);
-        }
+        Self::put(&mut self.lens, v);
     }
 
     /// Takes an empty stage-buffer list, reusing returned capacity.
     pub(crate) fn take_stage(&mut self) -> Vec<StageBuf> {
-        if self.stage.is_empty() {
-            self.stage.extend(
-                SPARE
-                    .try_with(|s| s.borrow_mut().stage.pop())
-                    .ok()
-                    .flatten(),
-            );
-        }
-        match self.stage.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                Vec::new()
-            }
-        }
+        Self::take(&mut self.stage, &mut self.reuses, &mut self.allocs)
     }
 
     /// Returns a stage-buffer list for reuse.
     pub(crate) fn put_stage(&mut self, v: Vec<StageBuf>) {
-        if v.capacity() > 0 {
-            self.stage.push(v);
-        }
+        Self::put(&mut self.stage, v);
     }
 
     /// Takes an empty index set, reusing a returned set's table.
     pub(crate) fn take_set(&mut self) -> HashSet<u32> {
-        if self.sets.is_empty() {
-            self.sets
-                .extend(SPARE.try_with(|s| s.borrow_mut().sets.pop()).ok().flatten());
-        }
-        match self.sets.pop() {
-            Some(mut v) => {
-                self.reuses += 1;
-                v.clear();
-                v
-            }
-            None => {
-                self.allocs += 1;
-                HashSet::new()
-            }
-        }
+        Self::take(&mut self.sets, &mut self.reuses, &mut self.allocs)
     }
 
     /// Returns an index set for reuse.
     pub(crate) fn put_set(&mut self, v: HashSet<u32>) {
-        if v.capacity() > 0 {
-            self.sets.push(v);
-        }
+        Self::put(&mut self.sets, v);
     }
 
     /// Times a take was served from a returned buffer.

@@ -315,64 +315,31 @@ pub struct RankState {
 }
 
 impl RankState {
-    /// Builds the rank state, allocating eager buffers and pools inside
-    /// `mem` and pre-registering everything. Receive descriptors are
-    /// *not* posted here — the cluster does that (it needs the fabric).
-    pub fn new(rank: u32, nprocs: u32, cfg: &MpiConfig, mem: &mut NodeMem) -> Self {
-        // One region holds the send ring and all per-peer recv buffers.
-        let send_bytes = cfg.eager_send_bufs as u64 * cfg.eager_buf_size;
-        let recv_bytes = (nprocs as u64 - 1) * cfg.eager_bufs_per_peer as u64 * cfg.eager_buf_size;
-        let region = mem
-            .space
-            .alloc_page_aligned(send_bytes + recv_bytes)
-            .expect("address space too small for eager buffers");
-        let reg = mem.regs.register(region, send_bytes + recv_bytes);
-
-        let eager_send_free = (0..cfg.eager_send_bufs as u64)
-            .rev()
-            .map(|i| region + i * cfg.eager_buf_size)
-            .collect();
-
-        let pack_pool = SegmentPool::new(
-            &mut mem.space,
-            &mut mem.regs,
-            cfg.pack_pool_size,
-            cfg.max_seg_size,
-        )
-        .expect("address space too small for pack pool");
-        let unpack_pool = SegmentPool::new(
-            &mut mem.space,
-            &mut mem.regs,
-            cfg.unpack_pool_size,
-            cfg.max_seg_size,
-        )
-        .expect("address space too small for unpack pool");
-
+    /// An empty rank state for `rank` of `nprocs`, sized for the world
+    /// but holding no memory yet: [`RankState::reset`] allocates and
+    /// registers the eager buffers and pools before first use.
+    pub fn new(rank: u32, nprocs: u32) -> Self {
+        let n = nprocs as usize;
         Self {
             rank,
             nprocs,
             cpu: SerialResource::new("cpu").with_trace(),
             dma: SerialResource::new("dma").with_trace(),
-            eager_region: region,
-            eager_send_free,
+            eager_region: 0,
+            eager_send_free: Vec::new(),
             eager_pending: VecDeque::new(),
-            eager_lkey: reg.lkey,
-            pack_pool,
-            unpack_pool,
+            eager_lkey: 0,
+            pack_pool: SegmentPool::default(),
+            unpack_pool: SegmentPool::default(),
             posted: VecDeque::new(),
             unexpected: VecDeque::new(),
-            next_seq: PagedTable::new(nprocs as usize),
+            next_seq: PagedTable::new(n),
             reqs: Vec::new(),
             newly_completed: Vec::new(),
-            pindown: if cfg.pindown_cache {
-                PindownCache::new(cfg.pindown_capacity)
-            } else {
-                PindownCache::disabled()
-            },
+            pindown: PindownCache::disabled(),
             registry: TypeRegistry::new(),
             layout_cache: LayoutCache::new(),
-            plans: PlanCache::new(cfg.plan_cache, cfg.plan_cache_entries)
-                .with_canonicalization(cfg.canonicalize),
+            plans: PlanCache::new(false, 0),
             scratch: ScratchPool::new(),
             sent_layouts: HashSet::new(),
             internal: InternalBufs::default(),
@@ -380,38 +347,33 @@ impl RankState {
             rma_regs: Vec::new(),
             rma_event: false,
             pinned_user_bytes: 0,
-            reconn: crate::table::PeerMap::new(nprocs as usize),
-            done_seqs: crate::table::DoneSet::new(nprocs as usize),
+            reconn: crate::table::PeerMap::new(n),
+            done_seqs: crate::table::DoneSet::new(n),
             errors: Vec::new(),
             counters: RankCounters::default(),
-            fc: PagedTable::with_fill(
-                nprocs as usize,
-                FcPeer {
-                    credits: cfg.eager_credits,
-                    ..FcPeer::default()
-                },
-            ),
+            fc: PagedTable::with_fill(n, FcPeer::default()),
             unexpected_eager: 0,
         }
     }
 
-    /// Returns the rank state to its just-constructed state against a
-    /// *reset* `mem` (world recycling): the eager region and segment
-    /// pools are re-allocated and re-registered — deterministic
-    /// allocation reproduces the original addresses and keys — and
-    /// every queue, cache, table, and counter is emptied in place with
-    /// its heap capacity retained. Behaviour afterwards is
-    /// bit-identical to [`RankState::new`] with the same `cfg`.
+    /// Initializes the rank state under `cfg` against a fresh or
+    /// *reset* `mem`: the eager region and segment pools are allocated
+    /// and registered — deterministic allocation gives a reset space
+    /// the same addresses and keys as a fresh one — the caches take
+    /// `cfg`'s settings, and every queue, table and counter is emptied
+    /// in place with its heap capacity retained. Receive descriptors
+    /// are *not* posted here — the cluster does that (it needs the
+    /// fabric). The one init path for new and recycled ranks alike.
     pub fn reset(&mut self, cfg: &MpiConfig, mem: &mut NodeMem) {
+        // One region holds the send ring and all per-peer recv buffers.
         let send_bytes = cfg.eager_send_bufs as u64 * cfg.eager_buf_size;
         let recv_bytes =
             (self.nprocs as u64 - 1) * cfg.eager_bufs_per_peer as u64 * cfg.eager_buf_size;
         let region = mem
             .space
             .alloc_page_aligned(send_bytes + recv_bytes)
-            .expect("reset address space fits the eager region");
+            .expect("address space too small for eager buffers");
         let reg = mem.regs.register(region, send_bytes + recv_bytes);
-        debug_assert_eq!(region, self.eager_region, "deterministic layout");
         self.cpu.reset();
         self.dma.reset();
         self.eager_region = region;
@@ -423,17 +385,32 @@ impl RankState {
         );
         self.eager_pending.clear();
         self.eager_lkey = reg.lkey;
-        self.pack_pool.reset(&mut mem.space, &mut mem.regs);
-        self.unpack_pool.reset(&mut mem.space, &mut mem.regs);
+        self.pack_pool
+            .reset(
+                &mut mem.space,
+                &mut mem.regs,
+                cfg.pack_pool_size,
+                cfg.max_seg_size,
+            )
+            .expect("address space too small for pack pool");
+        self.unpack_pool
+            .reset(
+                &mut mem.space,
+                &mut mem.regs,
+                cfg.unpack_pool_size,
+                cfg.max_seg_size,
+            )
+            .expect("address space too small for unpack pool");
         self.posted.clear();
         self.unexpected.clear();
-        self.next_seq.reset_entries(|s| *s = 0);
+        self.next_seq.refill(0);
         self.reqs.clear();
         self.newly_completed.clear();
-        self.pindown.reset();
+        self.pindown.reset(cfg.pindown_cache, cfg.pindown_capacity);
         self.registry.reset();
         self.layout_cache.reset();
-        self.plans.reset();
+        self.plans
+            .reset(cfg.plan_cache, cfg.plan_cache_entries, cfg.canonicalize);
         self.scratch.reset_counters();
         self.sent_layouts.clear();
         self.internal.free.clear();
@@ -445,11 +422,9 @@ impl RankState {
         self.done_seqs.reset();
         self.errors.clear();
         self.counters = RankCounters::default();
-        self.fc.reset_entries(|p| {
-            *p = FcPeer {
-                credits: cfg.eager_credits,
-                ..FcPeer::default()
-            }
+        self.fc.refill(FcPeer {
+            credits: cfg.eager_credits,
+            ..FcPeer::default()
         });
         self.unexpected_eager = 0;
     }
@@ -555,7 +530,8 @@ mod tests {
     fn rank_fixture() -> (NodeMem, RankState, MpiConfig) {
         let cfg = MpiConfig::default();
         let mut mem = NodeMem::new(256 << 20);
-        let rs = RankState::new(0, 4, &cfg, &mut mem);
+        let mut rs = RankState::new(0, 4);
+        rs.reset(&cfg, &mut mem);
         (mem, rs, cfg)
     }
 

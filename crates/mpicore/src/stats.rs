@@ -73,11 +73,13 @@ pub struct RunStats {
     pub errors: Vec<Vec<MpiError>>,
     /// Total bytes moved by the pack/unpack copy kernels, all ranks.
     pub bytes_copied: u64,
-    /// Payload slab pool activity over this cluster's lifetime:
-    /// `(fresh allocations, reuses)` — reuses are allocations avoided.
+    /// Payload slab pool activity during this run: `(fresh
+    /// allocations, reuses)` — reuses are allocations avoided.
     pub payload_pool: (u64, u64),
-    /// Address-space backing-store pool activity over this cluster's
-    /// lifetime: `(fresh allocations, reuses, bytes re-zeroed)`.
+    /// How the ranks' address-space backing stores were obtained for
+    /// this run, summed over ranks: `(fresh allocations, reuses, bytes
+    /// re-zeroed)` — `(nprocs, 0, 0)` for a new cluster, `(0, nprocs,
+    /// bytes)` for a recycled one.
     pub space_pool: (u64, u64, u64),
     /// Total events scheduled on the simulation queue (seeded plus
     /// in-world).

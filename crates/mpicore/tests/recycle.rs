@@ -1,18 +1,21 @@
-//! Cluster recycling: a recycled cluster must be *bit-identical* to a
-//! fresh one.
+//! Cluster recycling: a recycled cluster must behave exactly like a
+//! newly built one.
 //!
 //! [`Cluster::recycle`] parks a finished cluster in a thread-local
-//! pool; [`Cluster::new`] with an equal spec resets and reuses it.
+//! pool keyed by shape (rank count, memory capacity, transport kind);
+//! [`Cluster::new`] with any spec of that shape resets and reuses it.
 //! The contract is exact — same virtual-time results, same receiver
-//! memory, and the same `RunStats` down to cache and pool counters as
-//! a fresh cluster built on a warm thread — so a sweep can recycle
+//! memory, and the same `RunStats` as a newly built cluster, apart from
+//! the two host-side counters that describe the reused buffers
+//! themselves (`scratch_pool`, `space_pool`) — so a sweep can recycle
 //! freely without perturbing any published number. These tests drive
 //! the whole `RunStats` through its `Debug` form, which covers every
-//! field (including the pool deltas) without a curated allow-list.
+//! other field (the payload-pool delta included) without a curated
+//! allow-list.
 
 use ibdt_datatype::Datatype;
 use ibdt_mpicore::{
-    AppOp, Cluster, ClusterSpec, Program, Scheme, ShmConfig, ShmCopyMode, TransportConfig,
+    AppOp, Cluster, ClusterSpec, Program, RunStats, Scheme, ShmConfig, ShmCopyMode, TransportConfig,
 };
 use ibdt_testkit::CountingAlloc;
 
@@ -84,18 +87,38 @@ fn programs(ty: &Datatype, sbuf: u64, rbuf: u64) -> Vec<Program> {
     vec![p0, p1]
 }
 
-/// Builds a cluster for `spec` (transparently pool-hitting if one was
-/// recycled), runs one ping-pong workload over `cols` columns, and
-/// returns `(full Debug fingerprint of RunStats, receiver memory,
-/// allocations in new+run)`. Recycles the cluster afterwards iff
-/// `recycle`.
-fn run_workload(spec: &ClusterSpec, cols: u64, recycle: bool) -> (String, Vec<u8>, u64) {
+/// One workload run on a cluster built by [`run_workload`].
+struct Run {
+    stats: RunStats,
+    /// Full `Debug` fingerprint of `stats`.
+    fp: String,
+    /// Receiver memory after the run.
+    mem: Vec<u8>,
+    /// Allocations in `Cluster::new` alone.
+    build_allocs: u64,
+    /// Allocations in `Cluster::new` plus the run.
+    allocs: u64,
+}
+
+/// Builds a cluster for `spec` (transparently pool-hitting if one of
+/// its shape was recycled), runs one ping-pong workload over `cols`
+/// columns — on device-resident buffers when `device` — and recycles
+/// the cluster afterwards iff `recycle`.
+fn run_workload(spec: &ClusterSpec, cols: u64, device: bool, recycle: bool) -> Run {
     let ty = vector_cols(cols);
+    let spec = spec.clone();
     let a0 = CountingAlloc::allocations();
-    let mut cluster = Cluster::new(spec.clone());
+    let mut cluster = Cluster::new(spec);
+    let build_allocs = CountingAlloc::allocations() - a0;
     let span = ty.true_ub() as u64 + 64;
-    let sbuf = cluster.alloc(0, span, 4096);
-    let rbuf = cluster.alloc(1, span, 4096);
+    let (sbuf, rbuf) = if device {
+        (
+            cluster.alloc_device(0, span, 4096),
+            cluster.alloc_device(1, span, 4096),
+        )
+    } else {
+        (cluster.alloc(0, span, 4096), cluster.alloc(1, span, 4096))
+    };
     cluster.fill_pattern(0, sbuf, span, 42);
     let progs = programs(&ty, sbuf, rbuf);
     let stats = cluster.run(progs);
@@ -104,26 +127,68 @@ fn run_workload(spec: &ClusterSpec, cols: u64, recycle: bool) -> (String, Vec<u8
     if recycle {
         cluster.recycle();
     }
-    (format!("{stats:?}"), mem, allocs)
+    Run {
+        fp: format!("{stats:?}"),
+        stats,
+        mem,
+        build_allocs,
+        allocs,
+    }
 }
 
-/// Same spec, same workload: the recycled run must reproduce the fresh
-/// warm-thread run exactly, while constructing with strictly fewer
+/// Removes the two host-side counters that describe the reused
+/// buffers themselves from a `RunStats` fingerprint: `scratch_pool`
+/// (a recycled rank's scratch shelves are warm, so takes count reuses
+/// where a new rank's count allocations) and `space_pool` (a recycled
+/// address space reports one reuse and its re-zeroed bytes where a new
+/// one reports one fresh allocation). Everything else must match
+/// exactly.
+fn scrub_host_pools(fp: &str) -> String {
+    let mut out = fp.to_string();
+    for (start, end) in [("scratch_pool: [", "]"), ("space_pool: (", ")")] {
+        let s = out.find(start).expect("field present in Debug output");
+        let e = out[s..].find(end).expect("field terminator") + s + end.len();
+        out.replace_range(s..e, "");
+    }
+    out
+}
+
+/// Asserts that `reused` ran on a recycled cluster and otherwise
+/// matches the newly built `fresh` run exactly.
+fn assert_same_run(fresh: &Run, reused: &Run, nprocs: u64) {
+    assert_eq!(
+        fresh.stats.space_pool.0, nprocs,
+        "reference was not a new build"
+    );
+    assert_eq!(
+        (reused.stats.space_pool.0, reused.stats.space_pool.1),
+        (0, nprocs),
+        "build did not reuse the parked cluster"
+    );
+    assert_eq!(
+        scrub_host_pools(&fresh.fp),
+        scrub_host_pools(&reused.fp),
+        "recycled RunStats diverged from a new build"
+    );
+    assert_eq!(fresh.mem, reused.mem, "recycled receiver memory diverged");
+}
+
+/// Same spec, same workload: the recycled run must reproduce the new
+/// build's run exactly, while constructing with strictly fewer
 /// allocations.
 fn assert_recycled_identical(spec: &ClusterSpec) {
-    // Cold run: warms the thread-local engine/space/page pools the way
-    // any sweep's first point does. Dropped, not recycled, so the next
-    // build is a true fresh-on-warm-thread reference.
-    let _ = run_workload(spec, 4, false);
-    let (fresh_fp, fresh_mem, fresh_allocs) = run_workload(spec, 4, true);
+    // Warms this thread's payload slab pool, which outlives clusters;
+    // dropped, not recycled, so the next build is a new one.
+    let _ = run_workload(spec, 4, false, false);
+    let fresh = run_workload(spec, 4, false, true);
     // The recycle above parked the cluster; this run must pool-hit.
-    let (rec_fp, rec_mem, rec_allocs) = run_workload(spec, 4, false);
-    assert_eq!(fresh_fp, rec_fp, "recycled RunStats diverged from fresh");
-    assert_eq!(fresh_mem, rec_mem, "recycled receiver memory diverged");
+    let reused = run_workload(spec, 4, false, false);
+    assert_same_run(&fresh, &reused, 2);
     assert!(
-        rec_allocs < fresh_allocs,
-        "pool hit saved no allocations (fresh {fresh_allocs}, recycled {rec_allocs}) — \
-         recycling is not engaging"
+        reused.allocs < fresh.allocs,
+        "pool hit saved no allocations (fresh {}, recycled {}) — recycling is not engaging",
+        fresh.allocs,
+        reused.allocs
     );
 }
 
@@ -147,62 +212,114 @@ fn recycled_run_bit_identical_shm_single() {
     assert_recycled_identical(&shm_spec(ShmCopyMode::Single));
 }
 
-/// Removes the host-side pool-accounting deltas (`space_pool`,
-/// `scratch_pool`, `payload_pool`) from a `RunStats` fingerprint.
-///
-/// The cross-state tests below compare runs under *different*
-/// thread-local pool warmth: a parked cluster keeps its address-space
-/// and scratch backing captive, so a fresh build that runs while
-/// something else sits in the cluster pool legitimately draws fewer
-/// spares (more allocs, fewer reuses) than one that runs with the
-/// pools fully stocked. Those deltas are host-side bookkeeping, not
-/// simulation results; everything else must still match exactly.
-fn scrub_pool_stats(fp: &str) -> String {
-    let mut out = fp.to_string();
-    for (start, end) in [
-        ("scratch_pool: [", "]"),
-        ("payload_pool: (", ")"),
-        ("space_pool: (", ")"),
-    ] {
-        let s = out.find(start).expect("field present in Debug output");
-        let e = out[s..].find(end).expect("field terminator") + s + end.len();
-        out.replace_range(s..e, "");
-    }
-    out
-}
-
 /// A recycled cluster must not leak its previous run into a
 /// *different* workload: running Q on a cluster that previously ran P
-/// must equal running Q on a fresh cluster.
+/// must equal running Q on a new cluster.
 #[test]
 fn recycled_cluster_forgets_previous_run() {
     let spec = ib_spec(Scheme::BcSpup);
-    let _ = run_workload(&spec, 4, false); // warm pools
-    // Fresh reference for workload Q (64 columns -> rendezvous).
-    let (q_fresh_fp, q_fresh_mem, _) = run_workload(&spec, 64, false);
+    let _ = run_workload(&spec, 64, false, false); // warm the payload pool
+                                                   // New-build reference for workload Q (64 columns -> rendezvous).
+    let q_fresh = run_workload(&spec, 64, false, false);
     // Run workload P (4 columns -> eager) and recycle.
-    let _ = run_workload(&spec, 4, true);
+    let _ = run_workload(&spec, 4, false, true);
     // The pooled cluster (which ran P) now runs Q.
-    let (q_rec_fp, q_rec_mem, _) = run_workload(&spec, 64, false);
-    assert_eq!(
-        scrub_pool_stats(&q_fresh_fp),
-        scrub_pool_stats(&q_rec_fp),
-        "recycled cluster carried state from its previous run"
-    );
-    assert_eq!(q_fresh_mem, q_rec_mem);
+    let q_reused = run_workload(&spec, 64, false, false);
+    assert_same_run(&q_fresh, &q_reused, 2);
 }
 
-/// Pool keying is exact spec equality: a recycled cluster must not be
-/// handed to a spec that differs (here: a different scheme).
+/// Parks a cluster that ran under `from` (buffers on the device iff
+/// `from_dev`), then builds for `to` — which must reuse it — and
+/// compares that run with a new build of `to`.
+fn assert_reuse_across_specs(from: &ClusterSpec, from_dev: bool, to: &ClusterSpec, to_dev: bool) {
+    for cols in [4, 64] {
+        let _ = run_workload(to, cols, to_dev, false); // warm the payload pool
+                                                       // This test's thread holds no parked cluster here: a new build.
+        let fresh = run_workload(to, cols, to_dev, false);
+        let _ = run_workload(from, cols, from_dev, true);
+        let reused = run_workload(to, cols, to_dev, false);
+        assert_same_run(&fresh, &reused, 2);
+    }
+}
+
 #[test]
-fn recycle_keyed_on_spec_equality() {
-    let spec_a = ib_spec(Scheme::BcSpup);
-    let spec_b = ib_spec(Scheme::MultiW);
-    let _ = run_workload(&spec_b, 4, false); // warm pools
-    let (b_fresh_fp, ..) = run_workload(&spec_b, 4, false);
-    let _ = run_workload(&spec_a, 4, true); // parks a BcSpup cluster
-    // MultiW build must NOT take the BcSpup cluster; results match the
-    // fresh MultiW reference.
-    let (b_fp, ..) = run_workload(&spec_b, 4, false);
-    assert_eq!(scrub_pool_stats(&b_fresh_fp), scrub_pool_stats(&b_fp));
+fn reuse_across_schemes() {
+    assert_reuse_across_specs(
+        &ib_spec(Scheme::BcSpup),
+        false,
+        &ib_spec(Scheme::MultiW),
+        false,
+    );
+}
+
+#[test]
+fn reuse_with_pindown_and_internal_buffer_reuse_off() {
+    let mut to = ib_spec(Scheme::MultiW);
+    to.mpi.pindown_cache = false;
+    to.mpi.reuse_internal_bufs = false;
+    assert_reuse_across_specs(&ib_spec(Scheme::MultiW), false, &to, false);
+}
+
+#[test]
+fn reuse_with_flow_control_on() {
+    let mut to = ib_spec(Scheme::BcSpup);
+    to.mpi.flow_control = true;
+    to.mpi.eager_credits = 2;
+    assert_reuse_across_specs(&ib_spec(Scheme::BcSpup), false, &to, false);
+}
+
+#[test]
+fn reuse_with_plan_cache_off() {
+    let mut to = ib_spec(Scheme::BcSpup);
+    to.mpi.plan_cache = false;
+    assert_reuse_across_specs(&ib_spec(Scheme::BcSpup), false, &to, false);
+}
+
+#[test]
+fn reuse_between_host_and_device_runs() {
+    let spec = ib_spec(Scheme::BcSpup);
+    assert_reuse_across_specs(&spec, false, &spec, true);
+    assert_reuse_across_specs(&spec, true, &spec, false);
+}
+
+#[test]
+fn reuse_across_shm_copy_modes() {
+    assert_reuse_across_specs(
+        &shm_spec(ShmCopyMode::Double),
+        false,
+        &shm_spec(ShmCopyMode::Single),
+        false,
+    );
+}
+
+/// Cycling more specs of one shape than the pool holds clusters must
+/// not rebuild: every build reuses the one parked cluster, so a build
+/// allocates no more than rebuilding a single spec does.
+#[test]
+fn cycling_schemes_of_one_shape_does_not_rebuild() {
+    const ROUNDS: u64 = 4;
+    let schemes = [
+        Scheme::Generic,
+        Scheme::BcSpup,
+        Scheme::RwgUp,
+        Scheme::MultiW,
+        Scheme::Adaptive,
+    ];
+    let one = ib_spec(Scheme::BcSpup);
+    let _ = run_workload(&one, 4, false, true);
+    let same: u64 = (0..ROUNDS * schemes.len() as u64)
+        .map(|_| run_workload(&one, 4, false, true).build_allocs)
+        .sum();
+    let mut cycled = 0;
+    for _ in 0..ROUNDS {
+        for &scheme in &schemes {
+            cycled += run_workload(&ib_spec(scheme), 4, false, true).build_allocs;
+        }
+    }
+    assert!(
+        cycled <= same,
+        "cycling {} schemes allocated {cycled} in {} builds, rebuilding one spec {same}",
+        schemes.len(),
+        ROUNDS * schemes.len() as u64
+    );
 }

@@ -155,14 +155,7 @@ fn bandwidth_impl(
     device: bool,
 ) -> BandwidthResult {
     assert!(window > 0);
-    let mut spec = spec.clone();
-    if device {
-        // `alloc_device` would flip this anyway; setting it up front
-        // keeps the spec equal to a recycled device cluster's, so
-        // repeated device runs pool-hit like host runs do.
-        spec.host.device.enabled = true;
-    }
-    let mut cluster = Cluster::new(spec);
+    let mut cluster = Cluster::new(spec.clone());
     let (b0, b1, span) = if device {
         alloc_device_buffers(&mut cluster, ty, count)
     } else {

@@ -40,14 +40,14 @@ ZERO_ALLOC_PREFIXES = (
 )
 # Absolute allocation ceilings, independent of the baseline: a
 # cache-on sweep iteration is a full cluster build + 4-message
-# ping-pong + teardown, measured at 17 allocs/op now that whole
-# `Cluster` instances are recycled across sweep points (on top of the
-# earlier thread-local spares for scratch, control buffers, segment
-# free-lists, receive rings, first-touch table pages, trace span
-# buffers, and the event-wheel engine). What remains is per-run
-# program/interp setup and stats collection. The ceiling holds the
-# line well under the pre-pooling 66 while leaving headroom for
-# incidental first-touch variation.
+# ping-pong + teardown, measured at 17 allocs/op because whole
+# `Cluster` instances are recycled across sweep points, keyed by shape
+# (rank count, memory capacity, transport kind). The recycled cluster
+# keeps its engine, scratch shelves, segment free-lists, receive
+# rings, table pages and trace buffers, so no other pooling layer is
+# involved. What remains is per-run program/interp setup and stats
+# collection. The ceiling holds the line well under the pre-pooling
+# 66 while leaving headroom for incidental first-touch variation.
 ABS_ALLOC_CAPS = {
     "sweep_x1/pingpong_cols/4/cache_on": 24,
     "sweep_x1/pingpong_cols/64/cache_on": 24,
