@@ -82,8 +82,9 @@ fi
 
 echo "==> lint: no thread-local spares"
 # State is reused between runs in one place, the whole-cluster pool
-# (mpicore/src/cluster.rs), and per-message payload slabs in another
-# (ibsim/src/payload.rs); a thread-local anywhere else in the
+# (mpicore/src/cluster.rs), and the shared-memory transport's payload
+# slabs in another (ibsim/src/payload.rs, the modelled bounce segment;
+# the IB fabric stages no payload); a thread-local anywhere else in the
 # simulator crates carries state from one cluster to the next behind
 # that pool's back (DESIGN.md §17). Comment lines are exempt.
 if grep -rn "thread_local!" crates/simcore/src crates/memreg/src crates/ibsim/src crates/mpicore/src \
@@ -91,6 +92,19 @@ if grep -rn "thread_local!" crates/simcore/src crates/memreg/src crates/ibsim/sr
     | grep -vE '^[^:]+:[0-9]+:\s*//'; then
   echo "error: thread_local! outside the cluster and payload pools; keep" \
        "reusable state inside the Cluster, which recycles it whole." >&2
+  exit 1
+fi
+
+echo "==> lint: the IB fabric stages no payload"
+# The fabric places each transfer straight from the sender's registered
+# memory at arrival (DESIGN.md §11); a Payload in fabric.rs would bring
+# back a per-work-request staging copy. Shared memory keeps its slabs:
+# there the slab is the modelled bounce segment. Comment lines are
+# exempt.
+if grep -nwH "Payload" crates/ibsim/src/fabric.rs \
+    | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+  echo "error: Payload used in the IB fabric; place transfers from the" \
+       "sender's AddressSpace at arrival (see Fabric::deliver)." >&2
   exit 1
 fi
 

@@ -8,9 +8,16 @@
 //!
 //! Functional behaviour:
 //!
-//! * data is **gathered at post time** from the sender's address space
-//!   (protocols must not mutate a posted buffer before its completion —
-//!   true of verbs as well) and **placed at arrival time**,
+//! * data is **read from the sender's registered memory at arrival
+//!   time** and copied straight into the target — no staging copy. A
+//!   transfer carries its gather list, not its bytes; retransmission,
+//!   the RNR park queue and the reorder buffer all read the source when
+//!   the transfer is finally placed. This is the verbs contract: RC
+//!   completes a send only after placement, so a protocol may not touch
+//!   a posted buffer before its completion. The source keys are checked
+//!   again at placement; a registration torn down meanwhile completes
+//!   the work request with [`CqeStatus::LocalProtection`], places no
+//!   bytes and errors the queue pair,
 //! * rkey checks happen at the responder, like real IB; failures produce
 //!   an error completion at the requester and move no data,
 //! * a send (or write-with-immediate) arriving at a QP with an empty
@@ -58,9 +65,9 @@
 
 use crate::fault::{Fate, FaultPlan, FaultState};
 use crate::model::NetConfig;
-use crate::payload::Payload;
 use crate::wr::{Cqe, CqeStatus, Opcode, PostError, RecvWr, SendWr, Sge, SgeList};
-use ibdt_memreg::{AddressSpace, MemError, RegTable, TierMap};
+use ibdt_memreg::addr::copy_sg;
+use ibdt_memreg::{AddressSpace, MemError, RegTable, TierMap, Va};
 use ibdt_simcore::paged::PagedTable;
 use ibdt_simcore::resource::SerialResource;
 use ibdt_simcore::slab::{Handle, Slab};
@@ -217,7 +224,8 @@ impl fmt::Display for QpTransitionError {
 
 impl std::error::Error for QpTransitionError {}
 
-/// An in-flight transfer (one WR's payload).
+/// An in-flight transfer (one WR's descriptor; its bytes stay in the
+/// source's memory until placement).
 #[derive(Debug)]
 pub struct Transfer {
     src: u32,
@@ -234,18 +242,22 @@ pub struct Transfer {
 
 #[derive(Debug)]
 enum TransferKind {
-    /// Channel-semantics send payload.
+    /// Channel-semantics send of the sender's gather list `sges`
+    /// (`len` bytes in total).
     Send {
         wr_id: u64,
-        data: Payload,
+        sges: SgeList,
+        len: u64,
         signaled: bool,
     },
-    /// RDMA write payload (optionally with immediate data).
+    /// RDMA write of the sender's gather list to `(addr, rkey)`
+    /// (optionally with immediate data).
     Write {
         wr_id: u64,
         addr: u64,
         rkey: u32,
-        data: Payload,
+        sges: SgeList,
+        len: u64,
         imm: Option<u32>,
         signaled: bool,
     },
@@ -258,10 +270,14 @@ enum TransferKind {
         scatter: SgeList,
         signaled: bool,
     },
-    /// RDMA read response carrying the data back.
+    /// RDMA read response: `len` bytes at the responder's `(addr,
+    /// rkey)`, read when the response reaches the requester and placed
+    /// into its `scatter` list.
     ReadResponse {
         wr_id: u64,
-        data: Payload,
+        addr: u64,
+        rkey: u32,
+        len: u64,
         scatter: SgeList,
         signaled: bool,
     },
@@ -280,9 +296,9 @@ impl TransferKind {
     /// Payload bytes this transfer occupies on the wire.
     fn wire_bytes(&self) -> u64 {
         match self {
-            TransferKind::Send { data, .. }
-            | TransferKind::Write { data, .. }
-            | TransferKind::ReadResponse { data, .. } => data.len() as u64,
+            TransferKind::Send { len, .. }
+            | TransferKind::Write { len, .. }
+            | TransferKind::ReadResponse { len, .. } => *len,
             TransferKind::ReadRequest { .. } => 0,
         }
     }
@@ -925,22 +941,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Gathers an SGE list into a pooled payload slab — the single
-    /// allocation (usually a pool reuse) that the transfer, its
-    /// retransmissions, and its delivery all share.
-    fn gather(sges: &[Sge], space: &AddressSpace) -> Payload {
-        let total: usize = sges.iter().map(|s| s.len as usize).sum();
-        Payload::build(total, |data| {
-            for s in sges {
-                data.extend_from_slice(
-                    space
-                        .slice(s.addr, s.len)
-                        .expect("sge validated against a live registration"),
-                );
-            }
-        })
-    }
-
     fn alloc_id(&mut self) -> u64 {
         self.next_id += 1;
         self.next_id
@@ -1148,7 +1148,8 @@ impl Fabric {
                 self.stats.bytes_on_wire += bytes;
                 TransferKind::Send {
                     wr_id: wr.wr_id,
-                    data: Self::gather(&wr.sges, &mem.space),
+                    sges: wr.sges,
+                    len: bytes,
                     signaled: wr.signaled,
                 }
             }
@@ -1163,7 +1164,8 @@ impl Fabric {
                     wr_id: wr.wr_id,
                     addr,
                     rkey,
-                    data: Self::gather(&wr.sges, &mem.space),
+                    sges: wr.sges,
+                    len: bytes,
                     imm,
                     signaled: wr.signaled,
                 }
@@ -1695,39 +1697,26 @@ impl Fabric {
         out: &mut Vec<(u32, Cqe)>,
     ) {
         let src = xfer.src;
-        let seq = xfer.seq;
-        let attempt = xfer.attempt;
-        let epoch = xfer.epoch;
         match xfer.kind {
             TransferKind::Send {
                 wr_id,
-                data,
+                ref sges,
+                len,
                 signaled,
             } => {
+                if let Err(e) = check_gather(&mems[src as usize].regs, sges) {
+                    let status = CqeStatus::LocalProtection(e);
+                    self.access_error(now, src, dst, wr_id, status, sink);
+                    return;
+                }
                 if self.cq_full(dst) {
                     self.cq_overflow(now, dst, src, wr_id, sink);
                     return;
                 }
-                match self.consume_recv(dst, src, data.len() as u64) {
+                match self.consume_recv(dst, src, len) {
                     ConsumeOutcome::NoDescriptor => {
                         self.stats.rnr_events += 1;
-                        self.park(
-                            now,
-                            dst,
-                            src,
-                            Transfer {
-                                src,
-                                seq,
-                                attempt,
-                                epoch,
-                                kind: TransferKind::Send {
-                                    wr_id,
-                                    data,
-                                    signaled,
-                                },
-                            },
-                            sink,
-                        );
+                        self.park(now, dst, src, xfer, sink);
                     }
                     ConsumeOutcome::TooSmall(rwr) => {
                         self.cq_admit(dst);
@@ -1740,7 +1729,7 @@ impl Fabric {
                                 byte_len: 0,
                                 imm: None,
                                 status: CqeStatus::LocalLengthError {
-                                    sent: data.len() as u64,
+                                    sent: len,
                                     capacity: rwr.capacity(),
                                 },
                             },
@@ -1756,7 +1745,7 @@ impl Fabric {
                                 imm: None,
                                 status: CqeStatus::RemoteAccess(MemError::OutOfBounds {
                                     addr: 0,
-                                    len: data.len() as u64,
+                                    len,
                                     capacity: rwr.capacity(),
                                 }),
                             },
@@ -1764,7 +1753,7 @@ impl Fabric {
                         );
                     }
                     ConsumeOutcome::Ok(rwr) => {
-                        Self::scatter(&rwr.sges, data.as_slice(), &mut mems[dst as usize].space);
+                        place(mems, src, ranges(sges), dst, ranges(&rwr.sges));
                         self.stats.cqes += 1;
                         self.cq_admit(dst);
                         out.push((
@@ -1773,7 +1762,7 @@ impl Fabric {
                                 peer: src,
                                 wr_id: rwr.wr_id,
                                 is_recv: true,
-                                byte_len: data.len() as u64,
+                                byte_len: len,
                                 imm: None,
                                 status: CqeStatus::Success,
                             },
@@ -1786,7 +1775,7 @@ impl Fabric {
                                     peer: dst,
                                     wr_id,
                                     is_recv: false,
-                                    byte_len: data.len() as u64,
+                                    byte_len: len,
                                     imm: None,
                                     status: CqeStatus::Success,
                                 },
@@ -1800,10 +1789,16 @@ impl Fabric {
                 wr_id,
                 addr,
                 rkey,
-                data,
+                ref sges,
+                len,
                 imm,
                 signaled,
             } => {
+                if let Err(e) = check_gather(&mems[src as usize].regs, sges) {
+                    let status = CqeStatus::LocalProtection(e);
+                    self.access_error(now, src, dst, wr_id, status, sink);
+                    return;
+                }
                 // A write-with-immediate needs a CQ slot at the target
                 // just like a send does.
                 if imm.is_some() && self.cq_full(dst) {
@@ -1814,88 +1809,51 @@ impl Fabric {
                 // none is posted the transfer parks (RNR), data unplaced.
                 if imm.is_some() && self.nodes[dst as usize].recvq[src as usize].is_empty() {
                     self.stats.rnr_events += 1;
-                    self.park(
-                        now,
-                        dst,
-                        src,
-                        Transfer {
-                            src,
-                            seq,
-                            attempt,
-                            epoch,
-                            kind: TransferKind::Write {
-                                wr_id,
-                                addr,
-                                rkey,
-                                data,
-                                imm,
-                                signaled,
-                            },
-                        },
-                        sink,
-                    );
+                    self.park(now, dst, src, xfer, sink);
                     return;
                 }
-                let mem = &mut mems[dst as usize];
-                match mem.regs.check(rkey, addr, data.len() as u64) {
-                    Err(e) => {
-                        self.sched_local(
-                            sink,
-                            src,
-                            Cqe {
-                                peer: dst,
-                                wr_id,
-                                is_recv: false,
-                                byte_len: 0,
-                                imm: None,
-                                status: CqeStatus::RemoteAccess(e),
-                            },
-                            now,
-                        );
-                        // The responder NAKs the access; on RC that
-                        // terminates the connection — later WQEs must
-                        // not complete (they would let the requester
-                        // believe partially-rejected data all landed).
-                        self.fail_qp(now, src, dst, sink);
-                    }
-                    Ok(()) => {
-                        mem.space
-                            .write(addr, data.as_slice())
-                            .expect("rkey check guarantees bounds");
-                        if let Some(v) = imm {
-                            let rwr = self.nodes[dst as usize].recvq[src as usize]
-                                .pop_front()
-                                .expect("checked non-empty above");
-                            self.stats.cqes += 1;
-                            self.cq_admit(dst);
-                            out.push((
-                                dst,
-                                Cqe {
-                                    peer: src,
-                                    wr_id: rwr.wr_id,
-                                    is_recv: true,
-                                    byte_len: data.len() as u64,
-                                    imm: Some(v),
-                                    status: CqeStatus::Success,
-                                },
-                            ));
-                        }
-                        if signaled {
-                            self.sched_local(
-                                sink,
-                                src,
-                                Cqe {
-                                    peer: dst,
-                                    wr_id,
-                                    is_recv: false,
-                                    byte_len: data.len() as u64,
-                                    imm: None,
-                                    status: CqeStatus::Success,
-                                },
-                                now,
-                            );
-                        }
-                    }
+                if let Err(e) = mems[dst as usize].regs.check(rkey, addr, len) {
+                    // The responder NAKs the access; on RC that
+                    // terminates the connection — later WQEs must not
+                    // complete (they would let the requester believe
+                    // partially-rejected data all landed).
+                    let status = CqeStatus::RemoteAccess(e);
+                    self.access_error(now, src, dst, wr_id, status, sink);
+                    return;
+                }
+                place(mems, src, ranges(sges), dst, [(addr, len)]);
+                if let Some(v) = imm {
+                    let rwr = self.nodes[dst as usize].recvq[src as usize]
+                        .pop_front()
+                        .expect("checked non-empty above");
+                    self.stats.cqes += 1;
+                    self.cq_admit(dst);
+                    out.push((
+                        dst,
+                        Cqe {
+                            peer: src,
+                            wr_id: rwr.wr_id,
+                            is_recv: true,
+                            byte_len: len,
+                            imm: Some(v),
+                            status: CqeStatus::Success,
+                        },
+                    ));
+                }
+                if signaled {
+                    self.sched_local(
+                        sink,
+                        src,
+                        Cqe {
+                            peer: dst,
+                            wr_id,
+                            is_recv: false,
+                            byte_len: len,
+                            imm: None,
+                            status: CqeStatus::Success,
+                        },
+                        now,
+                    );
                 }
             }
             TransferKind::ReadRequest {
@@ -1906,65 +1864,54 @@ impl Fabric {
                 scatter,
                 signaled,
             } => {
-                let mem = &mems[dst as usize];
-                match mem.regs.check(rkey, addr, len) {
-                    Err(e) => {
-                        self.sched_local(
-                            sink,
-                            src,
-                            Cqe {
-                                peer: dst,
-                                wr_id,
-                                is_recv: false,
-                                byte_len: 0,
-                                imm: None,
-                                status: CqeStatus::RemoteAccess(e),
-                            },
-                            now,
-                        );
-                        // RC semantics: a remote-access NAK errors the
-                        // requesting queue pair (see the Write arm).
-                        self.fail_qp(now, src, dst, sink);
-                    }
-                    Ok(()) => {
-                        let data = Payload::build(len as usize, |v| {
-                            v.extend_from_slice(
-                                mem.space
-                                    .slice(addr, len)
-                                    .expect("rkey check guarantees bounds"),
-                            )
-                        });
-                        // The response occupies the responder's transmit
-                        // engine for its serialization time (and is
-                        // itself subject to fault injection).
-                        let dur = self.cfg.tx_ns(1, len);
-                        self.stats.wqes += 1;
-                        self.stats.bytes_on_wire += len;
-                        let rseq = self.alloc_seq(dst, src);
-                        let repoch = self.epoch_of((dst, src));
-                        let resp = Transfer {
-                            src: dst,
-                            seq: rseq,
-                            attempt: 0,
-                            epoch: repoch,
-                            kind: TransferKind::ReadResponse {
-                                wr_id,
-                                data,
-                                scatter,
-                                signaled,
-                            },
-                        };
-                        self.launch(now, src, resp, dur, 0, false, sink);
-                    }
+                if let Err(e) = mems[dst as usize].regs.check(rkey, addr, len) {
+                    // RC semantics: a remote-access NAK errors the
+                    // requesting queue pair (see the Write arm).
+                    let status = CqeStatus::RemoteAccess(e);
+                    self.access_error(now, src, dst, wr_id, status, sink);
+                    return;
                 }
+                // The response occupies the responder's transmit engine
+                // for its serialization time (and is itself subject to
+                // fault injection).
+                let dur = self.cfg.tx_ns(1, len);
+                self.stats.wqes += 1;
+                self.stats.bytes_on_wire += len;
+                let rseq = self.alloc_seq(dst, src);
+                let repoch = self.epoch_of((dst, src));
+                let resp = Transfer {
+                    src: dst,
+                    seq: rseq,
+                    attempt: 0,
+                    epoch: repoch,
+                    kind: TransferKind::ReadResponse {
+                        wr_id,
+                        addr,
+                        rkey,
+                        len,
+                        scatter,
+                        signaled,
+                    },
+                };
+                self.launch(now, src, resp, dur, 0, false, sink);
             }
             TransferKind::ReadResponse {
                 wr_id,
-                data,
-                scatter,
+                addr,
+                rkey,
+                len,
+                ref scatter,
                 signaled,
             } => {
-                Self::scatter(&scatter, data.as_slice(), &mut mems[dst as usize].space);
+                // The responder's memory is read as the response is
+                // placed, so its key is checked again here; the
+                // requester (`dst`) owns the work request.
+                if let Err(e) = mems[src as usize].regs.check(rkey, addr, len) {
+                    let status = CqeStatus::RemoteAccess(e);
+                    self.access_error(now, dst, src, wr_id, status, sink);
+                    return;
+                }
+                place(mems, src, [(addr, len)], dst, ranges(scatter));
                 if signaled {
                     self.stats.cqes += 1;
                     self.cq_admit(dst);
@@ -1974,7 +1921,7 @@ impl Fabric {
                             peer: src,
                             wr_id,
                             is_recv: false,
-                            byte_len: data.len() as u64,
+                            byte_len: len,
                             imm: None,
                             status: CqeStatus::Success,
                         },
@@ -1982,6 +1929,35 @@ impl Fabric {
                 }
             }
         }
+    }
+
+    /// A key check failed for the work request `wr_id` of the QP
+    /// `requester -> responder`: the requester gets an error completion
+    /// with `status`, no bytes are placed, and the queue pair errors —
+    /// on RC an access fault terminates the connection.
+    fn access_error<F: FnMut(Time, NicEvent)>(
+        &mut self,
+        now: Time,
+        requester: u32,
+        responder: u32,
+        wr_id: u64,
+        status: CqeStatus,
+        sink: &mut F,
+    ) {
+        self.sched_local(
+            sink,
+            requester,
+            Cqe {
+                peer: responder,
+                wr_id,
+                is_recv: false,
+                byte_len: 0,
+                imm: None,
+                status,
+            },
+            now,
+        );
+        self.fail_qp(now, requester, responder, sink);
     }
 
     fn sched_local<F: FnMut(Time, NicEvent)>(&self, sink: &mut F, node: u32, cqe: Cqe, now: Time) {
@@ -2048,21 +2024,41 @@ impl Fabric {
         }
         outcome
     }
+}
 
-    fn scatter(sges: &[Sge], data: &[u8], space: &mut AddressSpace) {
-        let mut off = 0usize;
-        for s in sges {
-            if off >= data.len() {
-                break;
-            }
-            let take = (s.len as usize).min(data.len() - off);
-            space
-                .write(s.addr, &data[off..off + take])
-                .expect("sge validated at post");
-            off += take;
-        }
-        debug_assert_eq!(off, data.len(), "scatter capacity checked before");
-    }
+/// The `(addr, len)` ranges of an SGE list.
+fn ranges(sges: &[Sge]) -> impl Iterator<Item = (Va, u64)> + '_ {
+    sges.iter().map(|s| (s.addr, s.len))
+}
+
+/// Checks a gather list's keys again at placement: the NIC reads a
+/// posted source only now, so a registration torn down since the post
+/// faults here instead of being read.
+fn check_gather(regs: &RegTable, sges: &[Sge]) -> Result<(), MemError> {
+    sges.iter()
+        .try_for_each(|s| regs.check(s.lkey, s.addr, s.len))
+}
+
+/// Copies the `gather` ranges of node `src` straight into the `scatter`
+/// ranges of node `dst` — the one placement routine behind sends,
+/// writes and read responses. Keys and capacity were checked by the
+/// caller.
+fn place(
+    mems: &mut [NodeMem],
+    src: u32,
+    gather: impl IntoIterator<Item = (Va, u64)>,
+    dst: u32,
+    scatter: impl IntoIterator<Item = (Va, u64)>,
+) {
+    let placed = if src == dst {
+        copy_sg(&mut mems[src as usize].space, gather, None, scatter)
+    } else {
+        let [s, d] = mems
+            .get_disjoint_mut([src as usize, dst as usize])
+            .expect("distinct in-range nodes");
+        copy_sg(&mut s.space, gather, Some(&mut d.space), scatter)
+    };
+    placed.expect("keys and capacity checked before placement");
 }
 
 enum ConsumeOutcome {

@@ -1,18 +1,20 @@
-//! Reference-counted payload slabs.
+//! Reference-counted payload slabs: the shared-memory transport's
+//! bounce segment.
 //!
-//! Every in-flight [`Transfer`](crate::fabric::Transfer) used to carry a
-//! fresh `Vec<u8>`, allocated at post time and freed at delivery — one
-//! malloc/free round trip per work request, plus full copies anywhere a
-//! payload had to be shared. A [`Payload`] replaces that with a slab
-//! handle:
+//! In double-copy mode a shared-memory sender copies its bytes into a
+//! bounce segment and completes; the receiver copies them out later.
+//! [`ShmChannel`](crate::shm::ShmChannel) models that segment as a
+//! [`Payload`]. (The IB fabric stages nothing: it places each transfer
+//! straight from the sender's memory at arrival.) Rather than a fresh
+//! `Vec<u8>` per work request, a [`Payload`] is a slab handle:
 //!
 //! * the backing buffer is **pooled**: the last handle returns the
 //!   whole `Arc<Slab>` — buffer *and* refcount control block — to a
 //!   thread-local free list, and the next gather reuses both, so
 //!   steady-state traffic allocates nothing;
 //! * the handle is **cheaply cloneable** (`Arc` inside) with byte-range
-//!   *views* ([`Payload::view`]), so retransmit queues, NAK replay, and
-//!   multi-hop forwarding share one allocation instead of cloning bytes;
+//!   *views* ([`Payload::view`]), so sharing a payload never clones its
+//!   bytes;
 //! * scatter reads straight from the slab into the destination
 //!   [`AddressSpace`](ibdt_memreg::AddressSpace) — no intermediate
 //!   buffer.

@@ -25,9 +25,11 @@
 //! | `RdmaWrite[Imm]`  | in: sender, out: receiver      | sender pushes         |
 //! | `RdmaRead`        | in: responder, out: requester  | requester pulls       |
 //!
-//! Functional behaviour mirrors [`Fabric`](crate::fabric::Fabric):
-//! payloads are gathered at post time and placed at delivery time,
-//! lkey/rkey checks run against the same registration tables (the MPI
+//! Functional behaviour mirrors [`Fabric`](crate::fabric::Fabric)
+//! except for staging: payloads are gathered into a [`Payload`] slab at
+//! post time (the slab is the modelled bounce segment; the IB fabric
+//! instead reads the sender's memory at arrival) and placed at delivery
+//! time, lkey/rkey checks run against the same registration tables (the MPI
 //! layer registers identically on every transport), and a send or
 //! write-with-immediate arriving with no receive descriptor parks in
 //! an RNR queue drained on the next receive post. The backend has no

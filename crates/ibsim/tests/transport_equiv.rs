@@ -126,16 +126,20 @@ impl Harness {
     }
 }
 
-/// One registered window per (node, role): sends gather from `src`,
-/// receives/writes land in `dst`.
+/// One registered window per (node, role): sends and writes gather
+/// from `src`, receives/writes land in `dst`, reads scatter into `rd`.
+/// The fabric reads a posted source when it places it, so no read may
+/// scatter into the window that outstanding sends gather from.
 struct Bufs {
     src: Vec<(u64, u32)>,
     dst: Vec<(u64, u32, u32)>, // (addr, lkey == rkey source, rkey)
+    rd: Vec<(u64, u32)>,
 }
 
 fn setup_bufs(h: &mut Harness) -> Bufs {
     let mut src = Vec::new();
     let mut dst = Vec::new();
+    let mut rd = Vec::new();
     for node in 0..N {
         let s = h.mems[node].space.alloc_page_aligned(32 << 10).unwrap();
         for i in 0..(32 << 10) / 8u64 {
@@ -147,10 +151,13 @@ fn setup_bufs(h: &mut Harness) -> Bufs {
         let sreg = h.mems[node].regs.register(s, 32 << 10);
         let d = h.mems[node].space.alloc_page_aligned(32 << 10).unwrap();
         let dreg = h.mems[node].regs.register(d, 32 << 10);
+        let r = h.mems[node].space.alloc_page_aligned(32 << 10).unwrap();
+        let rreg = h.mems[node].regs.register(r, 32 << 10);
         src.push((s, sreg.lkey));
         dst.push((d, dreg.lkey, dreg.rkey));
+        rd.push((r, rreg.lkey));
     }
-    Bufs { src, dst }
+    Bufs { src, dst, rd }
 }
 
 /// Generates one randomized verb script as a list of closures applied
@@ -201,6 +208,10 @@ fn run_script(seed: u64, via: Via) -> (Harness, Vec<Time>, u64) {
                 2 => Opcode::RdmaWriteImm(wr_id as u32),
                 _ => Opcode::RdmaRead,
             };
+            let (s, slkey) = match opcode {
+                Opcode::RdmaRead => bufs.rd[node as usize],
+                _ => (s, slkey),
+            };
             let sges = if rng.chance(0.2) && len >= 128 {
                 vec![
                     Sge {
@@ -243,13 +254,15 @@ fn run_script(seed: u64, via: Via) -> (Harness, Vec<Time>, u64) {
     // Snapshot every node's memory for the final comparison.
     let mut mem_sums = Vec::new();
     for node in 0..N {
-        let bytes = h.mems[node].space.read(bufs.dst[node].0, 32 << 10).unwrap();
-        let sum: u64 = bytes
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (*b as u64).wrapping_mul(i as u64 + 1))
-            .fold(0u64, |a, x| a.wrapping_add(x));
-        mem_sums.push(sum as Time);
+        for window in [bufs.dst[node].0, bufs.rd[node].0] {
+            let bytes = h.mems[node].space.read(window, 32 << 10).unwrap();
+            let sum: u64 = bytes
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (*b as u64).wrapping_mul(i as u64 + 1))
+                .fold(0u64, |a, x| a.wrapping_add(x));
+            mem_sums.push(sum as Time);
+        }
     }
     (h, mem_sums, post_errors)
 }

@@ -250,6 +250,62 @@ pub fn copy_between(
     Ok(())
 }
 
+/// Copies a gather list into a scatter list — the placement half of an
+/// RDMA transfer, with no staging buffer in between. Each list is a
+/// sequence of `(addr, len)` ranges; `src` reads the gather side, and
+/// `dst` names the space that receives the scatter side, or `None`
+/// when source and destination are one space (a rank addressing
+/// itself), which then copies with [`AddressSpace::copy_within`].
+///
+/// Bytes are placed in list order until the gather list is exhausted;
+/// the scatter list may hold more room than that. Returns the bytes
+/// copied. A scatter list with less room than the gather list holds
+/// fails with [`MemError::OutOfBounds`] naming the unplaced rest of
+/// the gather element, `capacity` being the scatter list's room.
+pub fn copy_sg(
+    src: &mut AddressSpace,
+    gather: impl IntoIterator<Item = (Va, u64)>,
+    dst: Option<&mut AddressSpace>,
+    scatter: impl IntoIterator<Item = (Va, u64)>,
+) -> Result<u64, MemError> {
+    match dst {
+        Some(dst) => zip_pieces(gather, scatter, |s, d, n| copy_between(src, s, dst, d, n)),
+        None => zip_pieces(gather, scatter, |s, d, n| src.copy_within(s, d, n)),
+    }
+}
+
+/// Walks a gather and a scatter list in lockstep and calls `copy(src,
+/// dst, len)` once per piece that is contiguous on both sides.
+fn zip_pieces(
+    gather: impl IntoIterator<Item = (Va, u64)>,
+    scatter: impl IntoIterator<Item = (Va, u64)>,
+    mut copy: impl FnMut(Va, Va, u64) -> Result<(), MemError>,
+) -> Result<u64, MemError> {
+    let mut scatter = scatter.into_iter();
+    let (mut d_addr, mut d_left) = (0, 0);
+    let mut total = 0;
+    for (mut s_addr, mut s_left) in gather {
+        while s_left > 0 {
+            while d_left == 0 {
+                let Some(next) = scatter.next() else {
+                    return Err(MemError::OutOfBounds {
+                        addr: s_addr,
+                        len: s_left,
+                        capacity: total,
+                    });
+                };
+                (d_addr, d_left) = next;
+            }
+            let n = s_left.min(d_left);
+            copy(s_addr, d_addr, n)?;
+            (s_addr, s_left) = (s_addr + n, s_left - n);
+            (d_addr, d_left) = (d_addr + n, d_left - n);
+            total += n;
+        }
+    }
+    Ok(total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,6 +367,41 @@ mod tests {
         a.write(pa, &[9; 8]).unwrap();
         copy_between(&a, pa, &mut b, pb, 8).unwrap();
         assert_eq!(b.read(pb, 8).unwrap(), vec![9; 8]);
+    }
+
+    /// Gather and scatter lists cut at different points place the
+    /// gathered bytes in order, across spaces and within one.
+    #[test]
+    fn copy_sg_walks_both_lists_in_order() {
+        let mut a = AddressSpace::new(4096);
+        let src: Vec<u8> = (1..=10).collect();
+        a.write(100, &src[..4]).unwrap();
+        a.write(200, &src[4..]).unwrap();
+        let gather = [(100, 4), (200, 6)];
+        let scatter = [(1000, 3), (2000, 5), (3000, 8)];
+        let mut b = AddressSpace::new(4096);
+        assert_eq!(copy_sg(&mut a, gather, Some(&mut b), scatter), Ok(10));
+        assert_eq!(b.read(1000, 3).unwrap(), [1, 2, 3]);
+        assert_eq!(b.read(2000, 5).unwrap(), [4, 5, 6, 7, 8]);
+        assert_eq!(b.read(3000, 8).unwrap(), [9, 10, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(copy_sg(&mut a, gather, None, scatter), Ok(10));
+        assert_eq!(a.read(1000, 3).unwrap(), [1, 2, 3]);
+        assert_eq!(a.read(2000, 5).unwrap(), [4, 5, 6, 7, 8]);
+        assert_eq!(a.read(3000, 2).unwrap(), [9, 10]);
+    }
+
+    #[test]
+    fn copy_sg_rejects_a_short_scatter_list() {
+        let mut a = AddressSpace::new(4096);
+        let mut b = AddressSpace::new(4096);
+        assert_eq!(
+            copy_sg(&mut a, [(100, 8)], Some(&mut b), [(200, 4), (300, 2)]),
+            Err(MemError::OutOfBounds {
+                addr: 106,
+                len: 2,
+                capacity: 6
+            })
+        );
     }
 
     #[test]

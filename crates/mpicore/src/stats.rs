@@ -74,7 +74,10 @@ pub struct RunStats {
     /// Total bytes moved by the pack/unpack copy kernels, all ranks.
     pub bytes_copied: u64,
     /// Payload slab pool activity during this run: `(fresh
-    /// allocations, reuses)` — reuses are allocations avoided.
+    /// allocations, reuses)` — reuses are allocations avoided. Only the
+    /// shared-memory transport stages payloads (its slab is the
+    /// modelled bounce segment); the IB fabric places every transfer
+    /// straight from the sender's memory, so IB runs read `(0, 0)`.
     pub payload_pool: (u64, u64),
     /// How the ranks' address-space backing stores were obtained for
     /// this run, summed over ranks: `(fresh allocations, reuses, bytes

@@ -33,7 +33,14 @@ fn vector_cols(cols: u64) -> Datatype {
 /// Sends `count` instances of `ty` rank 0 -> rank 1 over shm, verifies
 /// every datatype byte, and returns the stats.
 fn shm_transfer(scheme: Scheme, mode: ShmCopyMode, ty: &Datatype, count: u64) -> RunStats {
-    let mut cluster = Cluster::new(shm_spec(scheme, mode));
+    transfer(shm_spec(scheme, mode), ty, count)
+}
+
+/// Sends `count` instances of `ty` rank 0 -> rank 1 under `spec`,
+/// verifies every datatype byte, and returns the stats.
+fn transfer(spec: ClusterSpec, ty: &Datatype, count: u64) -> RunStats {
+    let (scheme, mode) = (spec.mpi.scheme, spec.transport);
+    let mut cluster = Cluster::new(spec);
     let span = (count.saturating_sub(1) as i64 * ty.extent() + ty.true_ub()) as u64 + 64;
     let sbuf = cluster.alloc(0, span, 4096);
     let rbuf = cluster.alloc(1, span, 4096);
@@ -114,6 +121,25 @@ fn every_scheme_moves_data_over_shm_single_copy() {
         assert_eq!(
             stats.shm_bounce_chunks, 0,
             "{scheme:?}: single copy must not touch the bounce segment"
+        );
+    }
+}
+
+/// Only the shared-memory transport stages payloads (its slab is the
+/// modelled bounce segment); the IB fabric places every transfer
+/// straight from the sender's memory and touches no payload slab.
+#[test]
+fn only_shm_stages_payloads() {
+    let ty = vector_cols(4);
+    for scheme in ALL_SCHEMES {
+        let mut spec = ClusterSpec::default();
+        spec.mpi.scheme = scheme;
+        let ib = transfer(spec, &ty, 2);
+        assert_eq!(ib.payload_pool, (0, 0), "{scheme:?}: IB staged a payload");
+        let shm = shm_transfer(scheme, ShmCopyMode::Double, &ty, 2);
+        assert!(
+            shm.payload_pool.0 + shm.payload_pool.1 > 0,
+            "{scheme:?}: shm double copy must stage through payload slabs"
         );
     }
 }
