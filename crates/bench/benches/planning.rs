@@ -3,7 +3,7 @@
 //! wire encode/decode. Plain timing harness — no Criterion offline.
 
 use ibdt_datatype::{Datatype, FlatLayout};
-use ibdt_mpicore::plan::{chunk_gather, hybrid_partition, plan_multi_w};
+use ibdt_mpicore::plan::{chunk_gather, for_each_multi_w, hybrid_partition};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -37,7 +37,11 @@ fn bench_plan_multi_w() {
         // Receiver misaligned: 3 sender blocks per 2 receiver blocks.
         let rcv = blocks(n * 512 / 768, 768, 4096, 1 << 30);
         bench(&format!("plan_multi_w/misaligned/{n}"), || {
-            black_box(plan_multi_w(black_box(&snd), black_box(&rcv), 64).len());
+            let mut wrs = 0usize;
+            for_each_multi_w(black_box(&snd), black_box(&rcv), 64, |w| {
+                wrs += black_box(w).sges.len();
+            });
+            black_box(wrs);
         });
     }
 }

@@ -501,6 +501,52 @@ fn bench_device(r: &mut Report) -> u64 {
     chunks
 }
 
+/// One recycled-cluster run of `msgs` one-way messages of `ty` from
+/// rank 0 to rank 1, each waited for on both sides: build (reusing a
+/// parked cluster of the shape), run, park.
+fn pingpong_run(spec: ClusterSpec, ty: &Datatype, msgs: u32) {
+    let mut cluster = Cluster::new(spec);
+    let span = ty.true_ub() as u64 + 64;
+    let sbuf = cluster.alloc(0, span, 4096);
+    let rbuf = cluster.alloc(1, span, 4096);
+    let mut p0 = Vec::new();
+    let mut p1 = Vec::new();
+    for tag in 0..msgs {
+        p0.push(AppOp::Isend {
+            peer: 1,
+            buf: sbuf,
+            count: 1,
+            ty: ty.clone(),
+            tag,
+        });
+        p0.push(AppOp::WaitAll);
+        p1.push(AppOp::Irecv {
+            peer: 0,
+            buf: rbuf,
+            count: 1,
+            ty: ty.clone(),
+            tag,
+        });
+        p1.push(AppOp::WaitAll);
+    }
+    black_box(cluster.run(vec![p0, p1]));
+    cluster.recycle();
+}
+
+/// Multi-W halo column: one recycled-cluster run sending the 2-rank
+/// `vector(256, 1, 258, double)` column (8-byte rows of a 258-wide
+/// tile) once — 256 RDMA writes in one post list. Its host cost and
+/// allocations must not scale with the write count: the planner keeps
+/// gather lists inline and the fabric sends the writes as one train.
+fn bench_multiw(r: &mut Report) {
+    let ty = Datatype::vector(256, 1, 258, &Datatype::double()).unwrap();
+    r.bench("multiw/halo_col/wqes/256", None, || {
+        let mut spec = ClusterSpec::default();
+        spec.mpi.scheme = Scheme::MultiW;
+        pingpong_run(spec, &ty, 1);
+    });
+}
+
 /// x1-style sweep: wall-clock host time of a full simulated ping-pong
 /// per column count, plan cache on vs off. Virtual results are
 /// identical; only the host pays differently.
@@ -516,32 +562,7 @@ fn bench_sweep(r: &mut Report) {
                 let mut spec = ClusterSpec::default();
                 spec.mpi.scheme = Scheme::BcSpup;
                 spec.mpi.plan_cache = cache;
-                let mut cluster = Cluster::new(spec);
-                let span = ty.true_ub() as u64 + 64;
-                let sbuf = cluster.alloc(0, span, 4096);
-                let rbuf = cluster.alloc(1, span, 4096);
-                let mut p0 = Vec::new();
-                let mut p1 = Vec::new();
-                for tag in 0..4 {
-                    p0.push(AppOp::Isend {
-                        peer: 1,
-                        buf: sbuf,
-                        count: 1,
-                        ty: ty.clone(),
-                        tag,
-                    });
-                    p0.push(AppOp::WaitAll);
-                    p1.push(AppOp::Irecv {
-                        peer: 0,
-                        buf: rbuf,
-                        count: 1,
-                        ty: ty.clone(),
-                        tag,
-                    });
-                    p1.push(AppOp::WaitAll);
-                }
-                black_box(cluster.run(vec![p0, p1]));
-                cluster.recycle();
+                pingpong_run(spec, &ty, 4);
             });
         }
     }
@@ -568,32 +589,7 @@ fn bench_shm(r: &mut Report) {
                 copy_mode: mode,
                 ..ShmConfig::default()
             });
-            let mut cluster = Cluster::new(spec);
-            let span = ty.true_ub() as u64 + 64;
-            let sbuf = cluster.alloc(0, span, 4096);
-            let rbuf = cluster.alloc(1, span, 4096);
-            let mut p0 = Vec::new();
-            let mut p1 = Vec::new();
-            for tag in 0..4 {
-                p0.push(AppOp::Isend {
-                    peer: 1,
-                    buf: sbuf,
-                    count: 1,
-                    ty: ty.clone(),
-                    tag,
-                });
-                p0.push(AppOp::WaitAll);
-                p1.push(AppOp::Irecv {
-                    peer: 0,
-                    buf: rbuf,
-                    count: 1,
-                    ty: ty.clone(),
-                    tag,
-                });
-                p1.push(AppOp::WaitAll);
-            }
-            black_box(cluster.run(vec![p0, p1]));
-            cluster.recycle();
+            pingpong_run(spec, &ty, 4);
         });
     }
 }
@@ -645,6 +641,7 @@ fn main() {
     let (canon_hits, canonicalized) = bench_canon(&mut r);
     let staging_chunks = bench_device(&mut r);
     bench_sweep(&mut r);
+    bench_multiw(&mut r);
     bench_shm(&mut r);
     bench_incast(&mut r);
     bench_scale(&mut r);

@@ -25,6 +25,30 @@
 //!   receive is posted; the RNR counter lets tests assert that the MPI
 //!   layer's flow control avoids this path.
 //!
+//! Doorbell trains ([`Fabric::post_send_list`]): each maximal run of
+//! consecutive unsignaled plain RDMA writes (no immediate) in a post
+//! list travels as one [`NicEvent::ArriveTrain`] carrying the members
+//! in post order. It fires at the last member's arrival time and takes
+//! that member's place in the event order. Every member still gets its
+//! own validation, send-queue slot, transmit reservation (`wire` span),
+//! sequence number and epoch at post, and its own epoch/error checks,
+//! key re-checks and placement at arrival. Every other WR (immediate,
+//! signaled, `Send`, `RdmaRead`) travels alone. Trains form only when
+//! no fault plan is armed, no APM migration is in flight, no port is
+//! down, the RNR retry budget is infinite and the completion queues are
+//! unbounded: then a queue pair can only error in its own FIFO order,
+//! and each transfer that might need its own fate travels alone.
+//!
+//! Trains are exact for a protocol that keeps the verbs contract.
+//! Unsignaled plain writes raise no completion; no correct protocol
+//! reads their target, or rewrites their source, before a later
+//! signaled or immediate WR on the same RC queue pair completes; the
+//! last member arrives before that WR does; and the dropped arrival
+//! events had no other effect, so every remaining event keeps its
+//! relative order. Only misuse sees a difference: a key torn down under
+//! an in-flight member faults at the train's arrival time, not at the
+//! member's own (`ibsim/tests/trains.rs`).
+//!
 //! Reliability behaviour (active when a [`FaultPlan`] is installed or
 //! the retry budgets are finite):
 //!
@@ -108,6 +132,15 @@ pub enum NicEvent {
         dst: u32,
         /// The in-flight transfer.
         xfer: Transfer,
+    },
+    /// A doorbell train reaches `dst`'s HCA: a post list's maximal run
+    /// of consecutive unsignaled plain RDMA writes, in post order, at
+    /// the last member's arrival time (see the module docs).
+    ArriveTrain {
+        /// Destination node.
+        dst: u32,
+        /// The members, placed in order; the list is recycled.
+        xfers: Vec<Transfer>,
     },
     /// A locally generated completion becomes visible (post-ACK).
     LocalCqe {
@@ -495,6 +528,9 @@ pub struct Fabric {
     cq_used: Vec<usize>,
     /// High-water mark of `cq_used` per node.
     cq_peak: Vec<usize>,
+    /// Emptied train lists ([`NicEvent::ArriveTrain`]), reused by the
+    /// next post list so steady-state trains allocate nothing.
+    train_spare: Vec<Vec<Transfer>>,
 }
 
 impl Fabric {
@@ -523,6 +559,7 @@ impl Fabric {
             node_stats: Vec::new(),
             cq_used: Vec::new(),
             cq_peak: Vec::new(),
+            train_spare: Vec::new(),
         };
         fabric.reset(cfg);
         fabric
@@ -1203,7 +1240,12 @@ impl Fabric {
     /// Posts a list of descriptors in one call (the extended interface
     /// of §7.4). Functionally identical to posting one by one; the CPU
     /// saving is priced by the caller via
-    /// [`NetConfig::post_list_ns`].
+    /// [`NetConfig::post_list_ns`]. Each maximal run of consecutive
+    /// unsignaled plain RDMA writes travels as one doorbell train when
+    /// the fabric allows it (see the module docs); every member still
+    /// gets its own validation, send-queue slot, transmit reservation
+    /// and sequence number. A refused WR ends the list, and the members
+    /// posted before it still arrive.
     pub fn post_send_list<F: FnMut(Time, NicEvent)>(
         &mut self,
         ready_at: Time,
@@ -1213,10 +1255,76 @@ impl Fabric {
         mems: &[NodeMem],
         sink: &mut F,
     ) -> Result<(), PostError> {
-        for wr in wrs {
-            self.post_send_inner(ready_at, node, peer, wr, mems, sink, true)?;
+        if !self.trains_form() {
+            for wr in wrs {
+                self.post_send_inner(ready_at, node, peer, wr, mems, sink, true)?;
+            }
+            return Ok(());
         }
-        Ok(())
+        let mut train = self.train_spare.pop().unwrap_or_default();
+        let mut last_at = 0;
+        let mut res = Ok(());
+        for wr in wrs {
+            res = if wr.opcode == Opcode::RdmaWrite && !wr.signaled {
+                // A fault-free launch schedules exactly one event, the
+                // member's arrival: hold it on the train instead.
+                let mut hold = |at, ev| {
+                    let NicEvent::Arrive { xfer, .. } = ev else {
+                        unreachable!("a fault-free launch schedules only its arrival")
+                    };
+                    last_at = at;
+                    train.push(xfer);
+                };
+                self.post_send_inner(ready_at, node, peer, wr, mems, &mut hold, true)
+            } else {
+                self.send_train(peer, &mut train, last_at, sink);
+                self.post_send_inner(ready_at, node, peer, wr, mems, sink, true)
+            };
+            if res.is_err() {
+                break;
+            }
+        }
+        self.send_train(peer, &mut train, last_at, sink);
+        self.train_spare.push(train);
+        res
+    }
+
+    /// True when a post list may send doorbell trains: no fault plan
+    /// armed, no APM migration in flight, no port down, and no way for
+    /// a queue pair to error outside its own FIFO order (infinite RNR
+    /// retry, unbounded completion queues). Otherwise every WR travels
+    /// alone, because each transfer may need its own fate.
+    fn trains_form(&self) -> bool {
+        self.faults.is_none()
+            && self.migrating == 0
+            && self.ports_down_count == 0
+            && self.cfg.rnr_infinite()
+            && !self.cq_bounded()
+    }
+
+    /// Schedules the held members `train` for `dst` at `at`, the last
+    /// member's arrival time, and leaves `train` empty: a single member
+    /// as the plain arrival it would have been, longer runs as one
+    /// [`NicEvent::ArriveTrain`].
+    fn send_train<F: FnMut(Time, NicEvent)>(
+        &mut self,
+        dst: u32,
+        train: &mut Vec<Transfer>,
+        at: Time,
+        sink: &mut F,
+    ) {
+        match train.len() {
+            0 => {}
+            1 => {
+                let xfer = train.pop().expect("one member");
+                sink(at, NicEvent::Arrive { dst, xfer });
+            }
+            _ => {
+                let spare = self.train_spare.pop().unwrap_or_default();
+                let xfers = std::mem::replace(train, spare);
+                sink(at, NicEvent::ArriveTrain { dst, xfers });
+            }
+        }
     }
 
     /// Posts a receive descriptor on the QP `node <- peer`.
@@ -1267,6 +1375,12 @@ impl Fabric {
                 out.push((node, cqe));
             }
             NicEvent::Arrive { dst, xfer } => self.arrive(now, dst, xfer, mems, sink, out),
+            NicEvent::ArriveTrain { dst, mut xfers } => {
+                for xfer in xfers.drain(..) {
+                    self.arrive(now, dst, xfer, mems, sink, out);
+                }
+                self.train_spare.push(xfers);
+            }
             NicEvent::RnrRetry { node, peer } => {
                 self.drain_parked(now, node, peer, mems, sink, out)
             }

@@ -36,21 +36,34 @@ impl OgrPlan {
 }
 
 /// Normalizes blocks: drops empties, sorts by address, merges blocks that
-/// touch or overlap into maximal extents.
+/// touch or overlap into maximal extents. One allocation, whatever the
+/// block count: the merge compacts the sorted copy in place.
 fn normalize(blocks: &[(Va, u64)]) -> Vec<(Va, u64)> {
-    let mut v: Vec<(Va, u64)> = blocks.iter().copied().filter(|&(_, l)| l > 0).collect();
+    let mut v = blocks.to_vec();
+    v.retain(|&(_, l)| l > 0);
     v.sort_unstable();
-    let mut out: Vec<(Va, u64)> = Vec::with_capacity(v.len());
-    for (a, l) in v {
-        match out.last_mut() {
-            Some((oa, ol)) if a <= *oa + *ol => {
-                let end = (a + l).max(*oa + *ol);
-                *ol = end - *oa;
+    coalesce(&mut v, |(oa, ol), (a, _)| a <= oa + ol);
+    v
+}
+
+/// Merges each element of `v` into the extent before it when
+/// `absorb(extent, next)` holds, compacting in place; a merged extent
+/// runs to the furthest end of its parts.
+fn coalesce(v: &mut Vec<(Va, u64)>, mut absorb: impl FnMut((Va, u64), (Va, u64)) -> bool) {
+    let mut n = 0usize;
+    for i in 0..v.len() {
+        let (a, l) = v[i];
+        match n.checked_sub(1).map(|k| (k, v[k])) {
+            Some((k, (oa, ol))) if absorb((oa, ol), (a, l)) => {
+                v[k].1 = (a + l).max(oa + ol) - oa;
             }
-            _ => out.push((a, l)),
+            _ => {
+                v[n] = (a, l);
+                n += 1;
+            }
         }
     }
-    out
+    v.truncate(n);
 }
 
 fn plan_from_regions(regions: Vec<(Va, u64)>, model: &RegCostModel) -> OgrPlan {
@@ -80,36 +93,19 @@ fn plan_from_regions(regions: Vec<(Va, u64)>, model: &RegCostModel) -> OgrPlan {
 /// assert!(plan.round_trip_ns() <= ogr::plan_per_block(&blocks, &model).round_trip_ns());
 /// ```
 pub fn plan(blocks: &[(Va, u64)], model: &RegCostModel) -> OgrPlan {
-    let extents = normalize(blocks);
-    if extents.is_empty() {
-        return OgrPlan {
-            regions: Vec::new(),
-            reg_cost_ns: 0,
-            dereg_cost_ns: 0,
-        };
-    }
     let new_region_cost = model.reg_base_ns + model.dereg_base_ns;
     let per_gap_page = model.reg_per_page_ns + model.dereg_per_page_ns;
-
-    let mut regions: Vec<(Va, u64)> = Vec::with_capacity(extents.len());
-    let (mut cur_a, mut cur_l) = extents[0];
-    for &(a, l) in &extents[1..] {
-        let cur_end = cur_a + cur_l;
-        debug_assert!(a > cur_end, "normalize() must leave positive gaps");
+    let mut regions = normalize(blocks);
+    coalesce(&mut regions, |(cur_a, cur_l), (a, l)| {
+        debug_assert!(a > cur_a + cur_l, "normalize() must leave positive gaps");
         // Extra pages pinned if the gap is absorbed: pages of the merged
         // region minus pages of the two separate regions (page sharing at
         // the seams makes this precise rather than gap/page_size).
         let merged_pages = model.pages(cur_a, a + l - cur_a);
         let split_pages = model.pages(cur_a, cur_l) + model.pages(a, l);
         let extra_pages = merged_pages.saturating_sub(split_pages);
-        if per_gap_page * extra_pages <= new_region_cost {
-            cur_l = a + l - cur_a;
-        } else {
-            regions.push((cur_a, cur_l));
-            (cur_a, cur_l) = (a, l);
-        }
-    }
-    regions.push((cur_a, cur_l));
+        per_gap_page * extra_pages <= new_region_cost
+    });
     plan_from_regions(regions, model)
 }
 

@@ -503,14 +503,14 @@ impl Cluster {
 
     /// Fills a range with a deterministic byte pattern keyed by `seed`.
     pub fn fill_pattern(&mut self, rank: u32, addr: Va, len: u64, seed: u64) {
-        let data: Vec<u8> = (0..len)
-            .map(|i| {
-                ((i.wrapping_mul(2654435761)
-                    .wrapping_add(seed.wrapping_mul(977)))
-                    >> 3) as u8
-            })
-            .collect();
-        self.write_mem(rank, addr, &data);
+        let dst = self.mems[rank as usize]
+            .space
+            .slice_mut(addr, len)
+            .expect("write within capacity");
+        let base = seed.wrapping_mul(977);
+        for (i, b) in (0u64..).zip(dst) {
+            *b = (i.wrapping_mul(2654435761).wrapping_add(base) >> 3) as u8;
+        }
     }
 
     /// Runs one program per rank to quiescence; returns statistics.
@@ -894,6 +894,16 @@ impl Cluster {
             r.unpack_pool.acquires(),
             r.unpack_pool.exhaustions(),
         )
+    }
+
+    /// `(containers, byte-buffer capacity)` shelved in the ranks'
+    /// scratch pools, summed: the host memory a recycled cluster
+    /// carries into its next run.
+    pub fn scratch_pooled(&self) -> (usize, usize) {
+        self.ranks.iter().fold((0, 0), |(n, b), r| {
+            let (rn, rb) = r.scratch.pooled();
+            (n + rn, b + rb)
+        })
     }
 
     /// Element-wise reduction of two local buffers over a datatype's

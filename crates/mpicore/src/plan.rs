@@ -5,23 +5,29 @@
 //!
 //! * [`chunk_gather`] — split a block list into gather lists of at most
 //!   `max_sge` entries (RWG-UP, §5.1),
-//! * [`plan_multi_w`] — pair the sender's and receiver's block lists
-//!   stream-wise into one RDMA write per *receiver-contiguous* range
-//!   with a sender gather list (Multi-W, §5.3/§5.4.2). The two sides may
-//!   have completely different layouts; blocks are split at every
-//!   boundary mismatch.
+//! * [`for_each_multi_w`] — pair the sender's and receiver's block
+//!   lists stream-wise into one RDMA write per *receiver-contiguous*
+//!   range with a sender gather list (Multi-W, §5.3/§5.4.2). The two
+//!   sides may have completely different layouts; blocks are split at
+//!   every boundary mismatch.
 
 use ibdt_datatype::{Datatype, TransferPlan, TypeRegistry};
 use ibdt_memreg::Va;
+use ibdt_simcore::InlineVec;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+
+/// A planned write's source gather list: `(addr, len)` pairs, up to
+/// four inline (as [`ibdt_ibsim::SgeList`] keeps them), so planning a
+/// one-piece write touches no heap.
+pub type Gather = InlineVec<(Va, u64), 4>;
 
 /// One planned RDMA write: gather `sges` (absolute addresses) into the
 /// contiguous destination `dst`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedWr {
-    /// Source gather list: `(addr, len)` pairs.
-    pub sges: Vec<(Va, u64)>,
+    /// Source gather list.
+    pub sges: Gather,
     /// Destination address (contiguous).
     pub dst: Va,
     /// Total bytes (== sum of sge lens).
@@ -38,21 +44,26 @@ pub fn chunk_gather(blocks: &[(Va, u64)], max_sge: usize) -> Vec<(Vec<(Va, u64)>
         .collect()
 }
 
-/// Plans the Multi-W write list.
+/// Walks the Multi-W write list, calling `f` once per planned write in
+/// stream order.
 ///
 /// `snd` and `rcv` are the two sides' contiguous block lists in stream
 /// order (absolute addresses); their total lengths must match. Each
 /// planned write targets one receiver-contiguous byte range and gathers
 /// at most `max_sge` sender pieces; receiver blocks needing more gather
 /// entries are split into multiple writes.
-pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec<PlannedWr> {
+pub fn for_each_multi_w(
+    snd: &[(Va, u64)],
+    rcv: &[(Va, u64)],
+    max_sge: usize,
+    mut f: impl FnMut(PlannedWr),
+) {
     assert!(max_sge > 0);
     debug_assert_eq!(
         snd.iter().map(|&(_, l)| l).sum::<u64>(),
         rcv.iter().map(|&(_, l)| l).sum::<u64>(),
         "sender and receiver type signatures must match in size"
     );
-    let mut out = Vec::new();
     let mut si = 0usize; // sender block index
     let mut soff = 0u64; // offset within sender block
 
@@ -61,7 +72,7 @@ pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec
         while covered < rlen {
             // Build one WR for as much of this receiver block as max_sge
             // sender pieces cover.
-            let mut sges: Vec<(Va, u64)> = Vec::new();
+            let mut sges = Gather::new();
             let mut wr_len = 0u64;
             while covered + wr_len < rlen && sges.len() < max_sge {
                 let (sa, sl) = snd[si];
@@ -76,7 +87,7 @@ pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec
                     soff = 0;
                 }
             }
-            out.push(PlannedWr {
+            f(PlannedWr {
                 sges,
                 dst: raddr + covered,
                 len: wr_len,
@@ -85,7 +96,6 @@ pub fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec
         }
     }
     debug_assert!(si == snd.len() || (si == snd.len() - 1 && soff == 0) || snd[si].1 == soff);
-    out
 }
 
 /// Hybrid-scheme partition of a message's stream (§10 future work:
@@ -380,6 +390,12 @@ mod tests {
         assert!(chunk_gather(&[], 4).is_empty());
     }
 
+    fn plan_multi_w(snd: &[(Va, u64)], rcv: &[(Va, u64)], max_sge: usize) -> Vec<PlannedWr> {
+        let mut out = Vec::new();
+        for_each_multi_w(snd, rcv, max_sge, |w| out.push(w));
+        out
+    }
+
     #[test]
     fn multiw_identical_layouts_one_wr_per_block() {
         let blocks: Vec<(Va, u64)> = vec![(0, 16), (100, 16), (200, 16)];
@@ -387,7 +403,7 @@ mod tests {
         let plan = plan_multi_w(&blocks, &rcv, 64);
         assert_eq!(plan.len(), 3);
         for (i, wr) in plan.iter().enumerate() {
-            assert_eq!(wr.sges, vec![(i as u64 * 100, 16)]);
+            assert_eq!(wr.sges[..], [(i as u64 * 100, 16)]);
             assert_eq!(wr.dst, 1000 + i as u64 * 100);
             assert_eq!(wr.len, 16);
         }
@@ -413,7 +429,7 @@ mod tests {
         let plan = plan_multi_w(&snd, &rcv, 64);
         assert_eq!(plan.len(), 4);
         for (i, wr) in plan.iter().enumerate() {
-            assert_eq!(wr.sges, vec![(500 + i as u64 * 8, 8)]);
+            assert_eq!(wr.sges[..], [(500 + i as u64 * 8, 8)]);
             assert_eq!(wr.dst, 7000 + i as u64 * 100);
         }
     }
@@ -427,9 +443,9 @@ mod tests {
         // WR1: rcv[0] = snd[0][0..8]. WR2: rcv[1] = snd[0][8..12] +
         // snd[1][0..20].
         assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].sges, vec![(0, 8)]);
+        assert_eq!(plan[0].sges[..], [(0, 8)]);
         assert_eq!(plan[0].dst, 1000);
-        assert_eq!(plan[1].sges, vec![(8, 4), (100, 20)]);
+        assert_eq!(plan[1].sges[..], [(8, 4), (100, 20)]);
         assert_eq!(plan[1].dst, 2000);
         assert_eq!(plan[1].len, 24);
     }

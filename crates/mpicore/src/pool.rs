@@ -160,9 +160,20 @@ impl SegmentPool {
 /// first few messages. Purely host-side — no modelled cost, no effect
 /// on the virtual clock. The pool lives in its rank's state, so a
 /// recycled cluster keeps every shelf warm across runs.
+///
+/// Byte buffers are shelved by size class — class `c` holds capacities
+/// in `[2^c, 2^(c+1))` — and a take of `len` bytes pops the smallest
+/// non-empty class that fits, found in O(1) from an occupancy bitmap,
+/// so a small request never grows a buffer while large ones sit idle.
+/// Every shelf is bounded ([`SHELF_BYTES`] per byte class,
+/// [`SHELF_CAP`] containers per list shelf); a put beyond the bound
+/// frees the buffer, so the pool's footprint cannot ratchet up.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    bytes: Vec<Vec<u8>>,
+    /// Byte buffers, indexed by size class.
+    bytes: Vec<Vec<Vec<u8>>>,
+    /// Bit `c` set when `bytes[c]` is non-empty.
+    byte_classes: u64,
     blocks: Vec<Vec<(Va, u64)>>,
     lens: Vec<Vec<u64>>,
     stage: Vec<Vec<StageBuf>>,
@@ -174,6 +185,19 @@ pub struct ScratchPool {
 /// Minimum capacity of a pooled byte buffer (covers every control
 /// message wire size).
 const MIN_BYTES_CAP: usize = 64;
+
+/// Capacity bytes one byte-buffer size class may shelve (at least two
+/// buffers are kept in every class).
+const SHELF_BYTES: usize = 8 << 20;
+
+/// Containers one list shelf (blocks, lengths, stage lists, sets) may
+/// hold.
+const SHELF_CAP: usize = 256;
+
+/// Size class of a buffer of capacity `cap` (> 0): `floor(log2 cap)`.
+fn class_of(cap: usize) -> usize {
+    cap.ilog2() as usize
+}
 
 /// A container a [`ScratchPool`] shelf holds: cleared on reuse, and
 /// shelved only while it owns heap capacity.
@@ -228,30 +252,66 @@ impl ScratchPool {
         }
     }
 
-    /// Shelves `v` unless it holds no heap capacity.
+    /// Shelves `v` unless it holds no heap capacity or the shelf is
+    /// full.
     fn put<T: Reusable>(shelf: &mut Vec<T>, v: T) {
-        if v.capacity() > 0 {
+        if v.capacity() > 0 && shelf.len() < SHELF_CAP {
             shelf.push(v);
         }
     }
 
-    /// Takes a zeroed byte buffer of exactly `len` bytes, reusing a
-    /// returned buffer's capacity when one is available.
+    /// Takes a zeroed byte buffer of exactly `len` bytes, reusing the
+    /// smallest shelved buffer whose class guarantees the capacity; a
+    /// new buffer's capacity is `len` rounded up to a power of two (at
+    /// least [`MIN_BYTES_CAP`]), so it returns to the class it serves.
     pub fn take_bytes(&mut self, len: usize) -> Vec<u8> {
-        let mut v = Self::take(&mut self.bytes, &mut self.reuses, &mut self.allocs);
-        if v.capacity() == 0 || v.capacity() < len {
-            // Round small buffers up so a 27-byte control encode and a
-            // 36-byte control receive can share one recycled buffer
-            // without regrowing it.
-            v.reserve(len.max(MIN_BYTES_CAP));
-        }
+        let need = len.max(MIN_BYTES_CAP).next_power_of_two();
+        let fits = self.byte_classes & (u64::MAX << class_of(need));
+        let mut v = if fits == 0 {
+            self.allocs += 1;
+            Vec::with_capacity(need)
+        } else {
+            let c = fits.trailing_zeros() as usize;
+            let shelf = &mut self.bytes[c];
+            let mut v = shelf.pop().expect("occupancy bit set");
+            if shelf.is_empty() {
+                self.byte_classes &= !(1 << c);
+            }
+            self.reuses += 1;
+            v.clear();
+            v
+        };
         v.resize(len, 0);
         v
     }
 
-    /// Returns a byte buffer to the pool.
+    /// Returns a byte buffer to its size class's shelf; a buffer with
+    /// no capacity, or one whose shelf is full, is freed.
     pub fn put_bytes(&mut self, v: Vec<u8>) {
-        Self::put(&mut self.bytes, v);
+        if v.capacity() == 0 {
+            return;
+        }
+        let c = class_of(v.capacity());
+        if self.bytes.len() <= c {
+            self.bytes.resize_with(c + 1, Vec::new);
+        }
+        let shelf = &mut self.bytes[c];
+        if shelf.len() < (SHELF_BYTES >> c).max(2) {
+            shelf.push(v);
+            self.byte_classes |= 1 << c;
+        }
+    }
+
+    /// `(containers, byte-buffer capacity)` currently shelved: what the
+    /// pool holds between runs.
+    pub fn pooled(&self) -> (usize, usize) {
+        let byte_bufs = self.bytes.iter().flatten();
+        let count = byte_bufs.clone().count()
+            + self.blocks.len()
+            + self.lens.len()
+            + self.stage.len()
+            + self.sets.len();
+        (count, byte_bufs.map(Vec::capacity).sum())
     }
 
     /// Takes an empty block/SGE list, reusing returned capacity.

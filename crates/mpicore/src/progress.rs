@@ -18,7 +18,7 @@
 use crate::config::{MpiConfig, Scheme};
 use crate::error::MpiError;
 use crate::msg::{CtrlMsg, ReplyBody, SegList};
-use crate::plan::{for_each_substream_piece, hybrid_partition, imm_of, imm_parse, plan_multi_w};
+use crate::plan::{for_each_multi_w, for_each_substream_piece, hybrid_partition, imm_of, imm_parse};
 use crate::rank::{PostedRecv, RankState, ReqId, ReqKind, Unexpected};
 use crate::table::{ImmMap, MsgTable};
 use ibdt_datatype::{Datatype, FlatLayout, TransferPlan};
@@ -1535,13 +1535,17 @@ fn on_ctrl(
                 // still pending and will go out on its own.
                 let resend = am.recvs.get(&(peer, seq)).and_then(|m| {
                     if m.pending_reply.is_none() {
-                        m.reply_copy.clone()
+                        m.reply_copy.as_deref()
                     } else {
                         None
                     }
                 });
                 if let Some(r) = resend {
-                    send_ctrl(rs, ctx, peer, r, 0);
+                    // Copied into a pooled buffer: the send path
+                    // returns what it sends to the pool.
+                    let mut copy = take_ctrl_buf(rs);
+                    copy.extend_from_slice(r);
+                    send_ctrl(rs, ctx, peer, copy, 0);
                 }
             }
             CtrlMsg::RndvResume { seq } => {
@@ -1986,7 +1990,7 @@ fn build_layout_reply(
     let key = (msg.peer, tag.index, tag.version);
     let layout = (!rs.sent_layouts.contains(&key)).then(|| msg.ty.flat().as_ref().clone());
     let (seq, base, count, scheme) = (msg.seq, msg.buf, msg.count, msg.scheme);
-    let encode = move |layout, regions, segs| {
+    let encode = move |out: &mut Vec<u8>, layout, regions, segs| {
         let body = if hybrid {
             ReplyBody::Hybrid {
                 base,
@@ -2011,15 +2015,20 @@ fn build_layout_reply(
             scheme: scheme.to_wire(),
             body,
         }
-        .encode()
+        .encode_into(out)
     };
     let mut regions: Vec<Region> = plan.regions.iter().map(|&(a, l)| (a, l, 0)).collect();
-    let probe = encode(
+    // Encoded into a pooled control buffer, like every reply: the send
+    // path returns it to the pool.
+    let mut reply = take_ctrl_buf(rs);
+    encode(
+        &mut reply,
         layout.clone(),
         regions.clone(),
         (0..nsegs).map(|_| (0, 0)).collect(),
     );
-    if probe.len() as u64 > ctx.cfg.eager_buf_size {
+    if reply.len() as u64 > ctx.cfg.eager_buf_size {
+        rs.scratch.put_bytes(reply);
         return None;
     }
     if layout.is_some() {
@@ -2049,7 +2058,9 @@ fn build_layout_reply(
         }
         None => SegList::new(),
     };
-    Some(encode(layout, regions, segs))
+    reply.clear();
+    encode(&mut reply, layout, regions, segs);
+    Some(reply)
 }
 
 /// A data segment (or whole message) arrived, announced by immediate
@@ -2813,11 +2824,10 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
             let tplan = rs.plan_for(&msg.ty, msg.count);
             let mut snd_blocks = rs.scratch.take_blocks();
             abs_blocks_into(&tplan, msg.buf, &mut snd_blocks);
-            let plan = plan_multi_w(&snd_blocks, rcv_blocks, ctx.net.max_sge);
-            rs.scratch.put_blocks(snd_blocks);
-            let wrs = plan
-                .into_iter()
-                .map(|p| SendWr {
+            // At least one write per receiver block.
+            let mut wrs = Vec::with_capacity(rcv_blocks.len());
+            for_each_multi_w(&snd_blocks, rcv_blocks, ctx.net.max_sge, |p| {
+                wrs.push(SendWr {
                     wr_id: WR_DATA | msg.seq,
                     opcode: Opcode::RdmaWrite,
                     sges: p
@@ -2832,7 +2842,8 @@ fn try_post_ready(rs: &mut RankState, ctx: &mut Ctx<'_, '_>, msg: &mut SendMsg) 
                     remote: Some((p.dst, region_key(regions, p.dst, p.len))),
                     signaled: false,
                 })
-                .collect();
+            });
+            rs.scratch.put_blocks(snd_blocks);
             if post_wrs(rs, ctx, msg, with_imm_last(wrs, msg.seq), ctx.cfg.list_post) {
                 msg.posted_segs = msg.nsegs;
             }

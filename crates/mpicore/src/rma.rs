@@ -21,7 +21,7 @@
 //! work — only its HCA places or serves data.
 
 use crate::error::MpiError;
-use crate::plan::plan_multi_w;
+use crate::plan::for_each_multi_w;
 use crate::progress::{Ctx, WR_RMA};
 use crate::rank::RankState;
 use ibdt_datatype::Datatype;
@@ -108,24 +108,7 @@ pub fn put(
         return;
     }
     register_origin(rs, ctx, &origin_blocks);
-    let wrs: Vec<SendWr> = plan_multi_w(&origin_blocks, &target_blocks, ctx.net.max_sge)
-        .into_iter()
-        .map(|p| SendWr {
-            wr_id: WR_RMA,
-            opcode: Opcode::RdmaWrite,
-            sges: p
-                .sges
-                .iter()
-                .map(|&(a, l)| Sge {
-                    addr: a,
-                    len: l,
-                    lkey: lkey_for(rs, a, l),
-                })
-                .collect(),
-            remote: Some((p.dst, win.rkey)),
-            signaled: false,
-        })
-        .collect();
+    let wrs = rma_wrs(rs, ctx, &origin_blocks, &target_blocks, win.rkey, Opcode::RdmaWrite);
     post_rma(rs, ctx, target, wrs);
 }
 
@@ -166,12 +149,27 @@ pub fn get(
     }
     register_origin(rs, ctx, &origin_blocks);
     // One read per target-contiguous range, scattering into origin
-    // pieces; plan_multi_w's "receiver" is the remote contiguous side.
-    let wrs: Vec<SendWr> = plan_multi_w(&origin_blocks, &target_blocks, ctx.net.max_sge)
-        .into_iter()
-        .map(|p| SendWr {
+    // pieces; the plan's "receiver" is the remote contiguous side.
+    let wrs = rma_wrs(rs, ctx, &origin_blocks, &target_blocks, win.rkey, Opcode::RdmaRead);
+    post_rma(rs, ctx, target, wrs);
+}
+
+/// One unsignaled `opcode` work request per target-contiguous range of
+/// `target_blocks` (window key `rkey`), gathering from or scattering
+/// into the registered `origin_blocks` — Multi-W's plan.
+fn rma_wrs(
+    rs: &RankState,
+    ctx: &Ctx<'_, '_>,
+    origin_blocks: &[(Va, u64)],
+    target_blocks: &[(Va, u64)],
+    rkey: u32,
+    opcode: Opcode,
+) -> Vec<SendWr> {
+    let mut wrs = Vec::with_capacity(target_blocks.len());
+    for_each_multi_w(origin_blocks, target_blocks, ctx.net.max_sge, |p| {
+        wrs.push(SendWr {
             wr_id: WR_RMA,
-            opcode: Opcode::RdmaRead,
+            opcode,
             sges: p
                 .sges
                 .iter()
@@ -181,11 +179,11 @@ pub fn get(
                     lkey: lkey_for(rs, a, l),
                 })
                 .collect(),
-            remote: Some((p.dst, win.rkey)),
+            remote: Some((p.dst, rkey)),
             signaled: false,
         })
-        .collect();
-    post_rma(rs, ctx, target, wrs);
+    });
+    wrs
 }
 
 /// Posts an RMA descriptor list with one signaled sentinel at the end.

@@ -323,3 +323,52 @@ fn cycling_schemes_of_one_shape_does_not_rebuild() {
         ROUNDS * schemes.len() as u64
     );
 }
+
+/// Runs one 4-rank Alltoall of `ty` under `scheme` on a (recycled)
+/// cluster and returns the ranks' pooled scratch shelves afterwards.
+fn alltoall_pooled(scheme: Scheme, ty: &Datatype) -> (usize, usize) {
+    const N: u32 = 4;
+    let mut spec = ib_spec(scheme);
+    spec.nprocs = N;
+    let mut cluster = Cluster::new(spec);
+    let span = ty.extent() as u64 * u64::from(N) + ty.true_ub() as u64 + 64;
+    let progs = (0..N)
+        .map(|r| {
+            let sbuf = cluster.alloc(r, span, 4096);
+            let rbuf = cluster.alloc(r, span, 4096);
+            cluster.fill_pattern(r, sbuf, span, u64::from(r));
+            vec![AppOp::Alltoall {
+                sbuf,
+                rbuf,
+                count: 1,
+                sty: ty.clone(),
+                rty: ty.clone(),
+            }]
+        })
+        .collect();
+    let stats = cluster.run(progs);
+    assert_eq!(stats.total_errors(), 0);
+    let pooled = cluster.scratch_pooled();
+    cluster.recycle();
+    pooled
+}
+
+/// A recycled cluster carries its ranks' scratch shelves into the next
+/// run, so every buffer a run returns must be one it took: alternating
+/// Generic (whole-message staging) and Multi-W (layout replies, many
+/// small control buffers) on one shape must leave the pooled count and
+/// bytes flat from the second run on, once both schemes have run.
+#[test]
+fn scratch_pool_stays_flat_across_alternating_schemes() {
+    let ty = vector_cols(64);
+    let pooled: Vec<(usize, usize)> = (0..8)
+        .map(|i| {
+            let scheme = [Scheme::Generic, Scheme::MultiW][i % 2];
+            alltoall_pooled(scheme, &ty)
+        })
+        .collect();
+    assert!(
+        pooled[1..].iter().all(|&p| p == pooled[1]),
+        "pooled (count, bytes) per run moved: {pooled:?}"
+    );
+}
